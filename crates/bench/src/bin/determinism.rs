@@ -1,8 +1,8 @@
 //! `determinism` — the double-run determinism harness (CI gate).
 //!
 //! Runs every wall `array_*` workload shape plus a 1000-client server round
-//! three times each — threaded, threaded again, unthreaded — and demands
-//! bit-identical trace digests, data digests, and simulated elapsed time.
+//! twice each in one process and demands bit-identical trace digests, data
+//! digests, and simulated elapsed time.
 //! Exits nonzero on any divergence. Run with `ALTO_AUDIT=1` to keep the
 //! shadow auditor armed while the digests are taken:
 //!
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
     if clean {
         if !json {
             println!(
-                "determinism: all {} workloads bit-identical across 3 runs",
+                "determinism: all {} workloads bit-identical across 2 runs",
                 reports.len()
             );
         }

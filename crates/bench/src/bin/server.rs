@@ -123,7 +123,6 @@ fn run(config: &'static str, clients: usize, drives: usize, batching: bool) -> P
     let clock = SimClock::new();
     let trace = Trace::new();
     trace.set_enabled(false);
-    alto_disk::pool::set_enabled(true);
     let arr = DriveArray::with_arms(
         drives,
         Placement::Range,

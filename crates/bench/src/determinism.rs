@@ -2,18 +2,17 @@
 //!
 //! The simulator's core promise is that simulated time and every observable
 //! it derives — trace streams, served bytes, scavenge verdicts — are a pure
-//! function of the workload: bit-identical run to run, with host threading
-//! on or off, with the shadow auditor armed or not. The static side of that
-//! promise is `cargo xtask analyze` (no hash-order iteration, no stray
-//! threads, no undisciplined clocks); this module is the runtime side.
+//! function of the workload: bit-identical run to run, with the shadow
+//! auditor armed or not. The static side of that promise is `cargo xtask
+//! analyze` (no hash-order iteration, no host threads, no undisciplined
+//! clocks); this module is the runtime side.
 //!
-//! Each workload is executed **three times**: threaded, threaded again, and
-//! unthreaded. The repeat catches in-process nondeterminism (every
-//! `HashMap` draws fresh hasher keys per instance, so hash-order leaks
-//! diverge even within one process); the threads-on/off pair catches any
-//! seam in the drive-array timeline merge. All three runs must produce the
-//! same [`RunDigest`]: a fold of the full trace stream, a fold of every
-//! data word the workload observed, and the final simulated elapsed time.
+//! Each workload is executed **twice** in one process. The repeat catches
+//! in-process nondeterminism (every `HashMap` draws fresh hasher keys per
+//! instance, so hash-order leaks diverge even within one process). Both
+//! runs must produce the same [`RunDigest`]: a fold of the full trace
+//! stream, a fold of every data word the workload observed, and the final
+//! simulated elapsed time.
 
 use alto_disk::{
     BatchRequest, Disk, DiskAddress, DiskModel, DriveArray, Placement, SectorBuf, SectorOp,
@@ -87,18 +86,17 @@ fn digest_trace(trace: &Trace) -> u64 {
     f.value()
 }
 
-/// One workload's three runs.
+/// One workload's two runs.
 #[derive(Debug)]
 pub struct WorkloadReport {
     pub name: &'static str,
-    pub threaded: RunDigest,
-    pub threaded_again: RunDigest,
-    pub unthreaded: RunDigest,
+    pub first: RunDigest,
+    pub repeat: RunDigest,
 }
 
 impl WorkloadReport {
     pub fn identical(&self) -> bool {
-        self.threaded == self.threaded_again && self.threaded == self.unthreaded
+        self.first == self.repeat
     }
 
     /// A compact one-line summary, flagging the first divergence if any.
@@ -106,12 +104,12 @@ impl WorkloadReport {
         if self.identical() {
             format!(
                 "{:<16} ok  trace {:016x}  data {:016x}  sim {} ns",
-                self.name, self.threaded.trace, self.threaded.data, self.threaded.sim_ns
+                self.name, self.first.trace, self.first.data, self.first.sim_ns
             )
         } else {
             format!(
-                "{:<16} DIVERGED  threaded {:?}  repeat {:?}  unthreaded {:?}",
-                self.name, self.threaded, self.threaded_again, self.unthreaded
+                "{:<16} DIVERGED  first {:?}  repeat {:?}",
+                self.name, self.first, self.repeat
             )
         }
     }
@@ -121,48 +119,45 @@ impl WorkloadReport {
             "    {{ \"workload\": \"{}\", \"identical\": {}, \"trace\": \"{:016x}\", \"data\": \"{:016x}\", \"sim_ns\": {} }}",
             self.name,
             self.identical(),
-            self.threaded.trace,
-            self.threaded.data,
-            self.threaded.sim_ns
+            self.first.trace,
+            self.first.data,
+            self.first.sim_ns
         )
     }
 }
 
-/// Runs `f` threaded, threaded again, and unthreaded.
-pub fn triple_run(name: &'static str, f: impl Fn(bool) -> RunDigest) -> WorkloadReport {
+/// Runs `f`, then runs it again.
+pub fn repeat_run(name: &'static str, f: impl Fn() -> RunDigest) -> WorkloadReport {
     WorkloadReport {
         name,
-        threaded: f(true),
-        threaded_again: f(true),
-        unthreaded: f(false),
+        first: f(),
+        repeat: f(),
     }
 }
 
-/// Batch size for the array workloads: large enough that every arm's share
-/// clears the drive array's per-arm threading threshold, so the threaded
-/// runs really exercise the scoped-thread timeline merge.
+/// Requests per array batch: every arm of a 4-arm array gets a share of
+/// 256, so each batch exercises the overlapped timeline merge at scale.
 const ARRAY_BATCH: u16 = 1024;
 const ARRAY_ROUNDS: usize = 12;
 
-fn array(k: usize, placement: Placement, threads: bool) -> (SimClock, Trace, DriveArray) {
+fn array(k: usize, placement: Placement) -> (SimClock, Trace, DriveArray) {
     let clock = SimClock::new();
     let trace = Trace::new();
     trace.set_enabled(true);
-    let mut arr = DriveArray::with_arms(
+    let arr = DriveArray::with_arms(
         k,
         placement,
         clock.clone(),
         trace.clone(),
         DiskModel::Diablo31,
     );
-    arr.set_threading_enabled(threads);
     (clock, trace, arr)
 }
 
 /// Chained sequential reads across all K arms (hash placement interleaves
 /// consecutive addresses onto every arm).
-pub fn array_seq(k: usize, threads: bool) -> RunDigest {
-    let (clock, trace, mut arr) = array(k, Placement::Hash, threads);
+pub fn array_seq(k: usize) -> RunDigest {
+    let (clock, trace, mut arr) = array(k, Placement::Hash);
     let mut data = Fold::default();
     for _ in 0..ARRAY_ROUNDS {
         let mut batch: Vec<BatchRequest> = (0..ARRAY_BATCH)
@@ -185,8 +180,8 @@ pub fn array_seq(k: usize, threads: bool) -> RunDigest {
 }
 
 /// Seeded-random read batches over the whole K-arm address space.
-pub fn array_random(k: usize, threads: bool) -> RunDigest {
-    let (clock, trace, mut arr) = array(k, Placement::Hash, threads);
+pub fn array_random(k: usize) -> RunDigest {
+    let (clock, trace, mut arr) = array(k, Placement::Hash);
     let total = arr.geometry().expect("geometry").sector_count() as u64;
     let mut rng = SplitMix64::new(0xDE7E);
     let mut data = Fold::default();
@@ -215,9 +210,8 @@ pub fn array_random(k: usize, threads: bool) -> RunDigest {
 
 /// Populate a K-pack file system, then run a full scavenger rebuild —
 /// phases 1 and 3 sweep every pack in interleaved per-arm batches.
-pub fn array_scavenge(k: usize, threads: bool) -> RunDigest {
-    let (clock, trace, mut arr) = array(k, Placement::Range, threads);
-    arr.set_threading_enabled(threads);
+pub fn array_scavenge(k: usize) -> RunDigest {
+    let (clock, trace, arr) = array(k, Placement::Range);
     let mut fs = FileSystem::format(arr).expect("format");
     let root = fs.root_dir();
     for i in 0..12 {
@@ -251,20 +245,19 @@ pub fn array_scavenge(k: usize, threads: bool) -> RunDigest {
 /// data digest folds the fleet's order-independent served-word digest with
 /// the server's counters, so a lost, reordered, or double-served page
 /// diverges it.
-pub fn server_round(clients: usize, drives: usize, threads: bool) -> RunDigest {
+pub fn server_round(clients: usize, drives: usize) -> RunDigest {
     const FILES: usize = 16;
     const PAGES: u16 = 8;
     let clock = SimClock::new();
     let trace = Trace::new();
     trace.set_enabled(true);
-    let mut arr = DriveArray::with_arms(
+    let arr = DriveArray::with_arms(
         drives,
         Placement::Range,
         clock.clone(),
         trace.clone(),
         DiskModel::Trident,
     );
-    arr.set_threading_enabled(threads);
     let mut fs = FileSystem::format(arr).expect("format");
     let root = fs.root_dir();
     let names: Vec<String> = (0..FILES).map(|f| format!("det{f}.dat")).collect();
@@ -301,13 +294,13 @@ pub fn server_round(clients: usize, drives: usize, threads: bool) -> RunDigest {
 }
 
 /// The standard suite: every `array_*` wall workload shape plus a fleet
-/// round, each triple-run. `clients` sizes the fleet (the CI harness uses
+/// round, each run twice. `clients` sizes the fleet (the CI harness uses
 /// 1000; the in-tree regression test uses a smaller fleet to stay fast).
 pub fn standard_suite(k: usize, clients: usize) -> Vec<WorkloadReport> {
     vec![
-        triple_run("array_seq", |t| array_seq(k, t)),
-        triple_run("array_random", |t| array_random(k, t)),
-        triple_run("array_scavenge", |t| array_scavenge(k, t)),
-        triple_run("server_round", |t| server_round(clients, k, t)),
+        repeat_run("array_seq", || array_seq(k)),
+        repeat_run("array_random", || array_random(k)),
+        repeat_run("array_scavenge", || array_scavenge(k)),
+        repeat_run("server_round", || server_round(clients, k)),
     ]
 }

@@ -73,7 +73,6 @@ const ROUNDS: usize = 32;
 fn pooled_steady_state_paths_allocate_nothing() {
     let trace = Trace::new();
     trace.set_enabled(false);
-    pool::set_enabled(true);
     let mut drive =
         DiskDrive::with_formatted_pack(SimClock::new(), trace.clone(), DiskModel::Diablo31, 1);
 
@@ -342,16 +341,4 @@ fn pooled_steady_state_paths_allocate_nothing() {
     for _ in 0..ROUNDS {
         round(true);
     }
-
-    // The ablation switch really is the thing being measured: with pooling
-    // off, the same loop must allocate (otherwise the bench's allocs/op
-    // column is measuring nothing).
-    pool::set_enabled(false);
-    let before = allocs();
-    pool::recycle_results(drive.do_batch(&mut reads));
-    assert!(
-        allocs() - before > 0,
-        "pooling ablation did not change allocation behavior"
-    );
-    pool::set_enabled(true);
 }

@@ -21,13 +21,14 @@
 //!   addresses interleave across all arms, so even one sequential chain
 //!   parallelizes N ways.
 //!
-//! Large per-arm shares run on real host threads (scoped, one per arm
-//! beyond the first) against private clocks and traces; the join restores
-//! elapsed = max-of-arms and absorbs the private traces in arm order, so
-//! the simulated outcome — results, timing, trace events — is bit-identical
-//! to the serial replay. `set_overlap_enabled(false)` serializes the arms
-//! on the shared timeline (the ablation), and a one-arm array degenerates
-//! to a plain pass-through.
+//! The shares run one after another on the host, each rewound to the
+//! batch's start instant, and the clock then jumps to the latest finish —
+//! an *overlapped serial replay*. `set_overlap_enabled(false)` serializes
+//! the arms on the shared timeline (the ablation), and a one-arm array
+//! degenerates to a plain pass-through.
+//!
+//! A two-arm [`Placement::Range`] array of identical packs is the paper's
+//! two-drive system: addresses `0 .. n` on drive 0, `n .. 2n` on drive 1.
 
 use alto_sim::{SimClock, SimTime, Trace};
 
@@ -37,13 +38,6 @@ use crate::geometry::{DiskAddress, DiskGeometry};
 use crate::pool;
 use crate::sched::BatchRequest;
 use crate::sector::{SectorBuf, SectorOp};
-
-/// Minimum per-arm share before a spanning batch is worth real host
-/// threads: the scoped spawn and join cost tens of microseconds of wall
-/// time per batch, so small shares keep the serial replay (the simulated
-/// outcome is bit-identical either way — see
-/// [`DriveArray::set_threading_enabled`]).
-const THREAD_MIN_SHARE: usize = 128;
 
 /// How a global disk address is assigned to an arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +65,7 @@ pub struct DriveArray {
     total: u32,
     shape: DiskGeometry,
     overlap: bool,
-    threads: bool,
     overlap_batches: u64,
-    threaded_batches: u64,
     overlap_saved: SimTime,
     /// Per-arm `(original indices, translated requests)` split storage,
     /// kept across batches so the steady state allocates nothing.
@@ -83,11 +75,6 @@ pub struct DriveArray {
     read_scratch: Vec<(Vec<usize>, Vec<DiskAddress>)>,
     /// Per-arm result storage, likewise recycled across batches.
     sub_results: Vec<Vec<Result<(), DiskError>>>,
-    elapsed: Vec<SimTime>,
-    /// Persistent private per-arm timelines for threaded batches (clock and
-    /// trace handles are shared cells, so clones swap in and out cheaply).
-    private: Vec<(SimClock, Trace)>,
-    originals: Vec<Option<(SimClock, Trace)>>,
 }
 
 impl DriveArray {
@@ -148,18 +135,11 @@ impl DriveArray {
             total,
             shape,
             overlap: true,
-            threads: true,
             overlap_batches: 0,
-            threaded_batches: 0,
             overlap_saved: SimTime::ZERO,
             scratch: (0..count).map(|_| Default::default()).collect(),
             read_scratch: (0..count).map(|_| Default::default()).collect(),
             sub_results: (0..count).map(|_| Vec::new()).collect(),
-            elapsed: vec![SimTime::ZERO; count],
-            private: (0..count)
-                .map(|_| (SimClock::new(), Trace::new()))
-                .collect(),
-            originals: (0..count).map(|_| None).collect(),
         })
     }
 
@@ -234,21 +214,11 @@ impl DriveArray {
         self.overlap = enabled;
     }
 
-    /// Enables or disables *host threads* for overlapped spanning batches
-    /// (enabled by default). With threads on, each arm's share runs on its
-    /// own scoped OS thread against a private clock and trace, and the join
-    /// restores elapsed = max of the arms — the same simulated time, trace
-    /// contents and results as the serial replay, bit for bit; the only
-    /// difference is wall-clock. Small shares (< `THREAD_MIN_SHARE` per
-    /// arm) always use the serial replay, since the spawn would cost more
-    /// than it saves.
-    pub fn set_threading_enabled(&mut self, enabled: bool) {
-        self.threads = enabled;
-    }
-
-    /// How many spanning batches actually ran on real threads.
+    /// How many spanning batches ran on host threads: always 0, since every
+    /// batch is an overlapped serial replay on the calling thread. Kept so
+    /// reports that print the counter keep their shape.
     pub fn threaded_batches(&self) -> u64 {
-        self.threaded_batches
+        0
     }
 
     /// Sets the retry limit on every arm (see [`DiskDrive::set_retries`]).
@@ -256,6 +226,56 @@ impl DriveArray {
         for d in &mut self.arms {
             d.set_retries(retries);
         }
+    }
+
+    /// Runs every occupied arm's share of a split batch (`split[arm]`: the
+    /// requests' original indices and the arm's own work) in arm order.
+    /// Every arm has its own head assembly and data path, so with overlap
+    /// on and two or more arms occupied each share starts from the batch's
+    /// start instant and the clock then jumps to the *last* finish (elapsed
+    /// = max over the arms, not the sum), recorded as one `disk.io.overlap`
+    /// event; otherwise the shares follow one another on the shared
+    /// timeline — the serialized ablation.
+    fn replay<T>(
+        &mut self,
+        split: &mut [(Vec<usize>, T)],
+        what: &'static str,
+        mut run: impl FnMut(usize, &mut DiskDrive, &[usize], &mut T),
+    ) {
+        let occupied = split.iter().filter(|(idxs, _)| !idxs.is_empty()).count();
+        let overlapped = self.overlap && occupied >= 2;
+        let clock = self.arms[0].clock().clone();
+        let t0 = clock.now();
+        let (mut longest, mut total) = (SimTime::ZERO, SimTime::ZERO);
+        for (arm, (idxs, share)) in split.iter_mut().enumerate() {
+            if idxs.is_empty() {
+                continue;
+            }
+            if overlapped {
+                clock.set(t0);
+            }
+            run(arm, &mut self.arms[arm], idxs, share);
+            let elapsed = clock.now() - t0;
+            longest = longest.max(elapsed);
+            total += elapsed;
+        }
+        if !overlapped {
+            return;
+        }
+        let saved = total - longest;
+        clock.set(t0 + longest);
+        self.overlap_batches += 1;
+        self.overlap_saved += saved;
+        self.arms[0]
+            .trace()
+            .record_with(clock.now(), "disk.io.overlap", || {
+                let counts = split
+                    .iter()
+                    .map(|(idxs, _)| idxs.len().to_string())
+                    .collect::<Vec<_>>()
+                    .join("+");
+                format!("{counts} {what} overlapped, {saved} saved")
+            });
     }
 }
 
@@ -324,13 +344,10 @@ impl Disk for DriveArray {
     {
         // Split the addresses by arm so each drive runs its own zero-copy
         // chain; results land back in the request's original order and the
-        // visitor sees original indices. The shares run on overlapped
-        // timelines exactly like `do_batch` (elapsed = max over the arms),
-        // but always as the serial replay: the borrowed visitor cannot
-        // cross host threads, and the simulated outcome is identical
-        // either way. Views lend each arm's platter sectors directly, so
-        // their headers carry the arm-local address — callers verify pages
-        // by *label* (fv, page number), which is position-independent.
+        // visitor sees original indices. Views lend each arm's platter
+        // sectors directly, so their headers carry the arm-local address —
+        // callers verify pages by *label* (fv, page number), which is
+        // position-independent.
         let mut results = pool::results_vec();
         results.extend(das.iter().map(|_| Ok(())));
         let mut split = std::mem::take(&mut self.read_scratch);
@@ -347,42 +364,13 @@ impl Disk for DriveArray {
             split[arm].0.push(i);
             split[arm].1.push(local);
         }
-        let occupied = split.iter().filter(|(idxs, _)| !idxs.is_empty()).count();
-        let overlapped = self.overlap && occupied >= 2;
-        let clock = self.arms[0].clock().clone();
-        let t0 = clock.now();
-        self.elapsed.clear();
-        self.elapsed.resize(self.arms.len(), SimTime::ZERO);
-        for (arm, (idxs, locals)) in split.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            if overlapped {
-                clock.set(t0);
-            }
-            let sub = self.arms[arm].do_batch_read(locals, |j, view| visit(idxs[j], view));
-            self.elapsed[arm] = clock.now() - t0;
+        self.replay(&mut split, "read requests", |_, drive, idxs, locals| {
+            let sub = drive.do_batch_read(locals, |j, view| visit(idxs[j], view));
             for (&i, &res) in idxs.iter().zip(sub.iter()) {
                 results[i] = res;
             }
             pool::recycle_results(sub);
-        }
-        if overlapped {
-            let longest = self.elapsed.iter().copied().max().unwrap_or(SimTime::ZERO);
-            let saved = self.elapsed.iter().fold(SimTime::ZERO, |acc, &e| acc + e) - longest;
-            clock.set(t0 + longest);
-            self.overlap_batches += 1;
-            self.overlap_saved += saved;
-            let trace = self.arms[0].trace();
-            trace.record_with(clock.now(), "disk.io.overlap", || {
-                let counts = split
-                    .iter()
-                    .map(|(idxs, _)| idxs.len().to_string())
-                    .collect::<Vec<_>>()
-                    .join("+");
-                format!("{counts} read requests overlapped, {saved} saved")
-            });
-        }
+        });
         self.read_scratch = split;
         results
     }
@@ -420,95 +408,10 @@ impl Disk for DriveArray {
             split[arm].0.push(i);
             split[arm].1.push(BatchRequest::new(local, req.op, buf));
         }
-
-        // Every arm has its own head assembly and data path, so a batch
-        // that spans arms runs the shares concurrently: each share runs
-        // from the same start instant, then the clock is set to the *last*
-        // finish (elapsed = max over the arms, not the sum). Large shares
-        // run on scoped host threads against private clocks and traces;
-        // small ones replay serially on the shared timeline — the simulated
-        // outcome is identical. The ablation (`set_overlap_enabled(false)`)
-        // keeps the serialized timeline.
-        let occupied = split.iter().filter(|(idxs, _)| !idxs.is_empty()).count();
-        let overlapped = self.overlap && occupied >= 2;
-        let threaded = overlapped
-            && self.threads
-            && split
-                .iter()
-                .all(|(idxs, _)| idxs.is_empty() || idxs.len() >= THREAD_MIN_SHARE);
-        let clock = self.arms[0].clock().clone();
-        let t0 = clock.now();
-        self.elapsed.clear();
-        self.elapsed.resize(self.arms.len(), SimTime::ZERO);
         let mut sub_results = std::mem::take(&mut self.sub_results);
-        if threaded {
-            // Give each occupied arm a private timeline starting at the
-            // shared instant and a private trace, so the threads never
-            // contend; the handles are shared cells, so persistent private
-            // clocks and traces swap in as cheap clones.
-            let shared_trace = self.arms[0].trace().clone();
-            let enabled = shared_trace.enabled();
-            for (arm, slot) in self.originals.iter_mut().enumerate() {
-                if split[arm].0.is_empty() {
-                    continue;
-                }
-                let (pc, pt) = &self.private[arm];
-                pc.set(t0);
-                pt.clear();
-                pt.set_enabled(enabled);
-                let oc = self.arms[arm].swap_clock(pc.clone());
-                let ot = self.arms[arm].swap_trace(pt.clone());
-                *slot = Some((oc, ot));
-            }
-            // One scoped thread per occupied arm beyond the first, which
-            // runs inline on this thread; the scope exit is the join, so
-            // every share is done before anything below runs.
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(self.arms.len());
-                let mut inline: Option<(usize, &mut DiskDrive, &mut Vec<BatchRequest>)> = None;
-                for ((arm, drive), (idxs, sub)) in
-                    self.arms.iter_mut().enumerate().zip(split.iter_mut())
-                {
-                    if idxs.is_empty() {
-                        continue;
-                    }
-                    match inline {
-                        None => inline = Some((arm, drive, sub)),
-                        Some(_) => handles.push((arm, s.spawn(move || drive.do_batch(sub)))),
-                    }
-                }
-                if let Some((arm, drive, sub)) = inline {
-                    sub_results[arm] = drive.do_batch(sub);
-                }
-                for (arm, handle) in handles {
-                    sub_results[arm] = handle.join().expect("drive-array arm thread panicked");
-                }
-            });
-            for (arm, slot) in self.originals.iter_mut().enumerate() {
-                let Some((oc, ot)) = slot.take() else {
-                    continue;
-                };
-                let pc = self.arms[arm].swap_clock(oc);
-                let pt = self.arms[arm].swap_trace(ot);
-                self.elapsed[arm] = pc.now() - t0;
-                // Absorbing in arm order reproduces the exact event order
-                // the serial replay records.
-                shared_trace.absorb(&pt);
-                pt.clear();
-            }
-            self.threaded_batches += 1;
-        } else {
-            for (arm, (idxs, sub)) in split.iter_mut().enumerate() {
-                if idxs.is_empty() {
-                    continue;
-                }
-                if overlapped {
-                    clock.set(t0);
-                }
-                sub_results[arm] = self.arms[arm].do_batch(sub);
-                self.elapsed[arm] = clock.now() - t0;
-            }
-        }
+        self.replay(&mut split, "requests", |arm, drive, _, sub| {
+            sub_results[arm] = drive.do_batch(sub);
+        });
         for (arm, (idxs, sub)) in split.iter_mut().enumerate() {
             for ((&i, done), res) in idxs
                 .iter()
@@ -522,22 +425,6 @@ impl Disk for DriveArray {
                 batch[i].buf = std::mem::take(&mut done.buf);
                 results[i] = res;
             }
-        }
-        if overlapped {
-            let longest = self.elapsed.iter().copied().max().unwrap_or(SimTime::ZERO);
-            let saved = self.elapsed.iter().fold(SimTime::ZERO, |acc, &e| acc + e) - longest;
-            clock.set(t0 + longest);
-            self.overlap_batches += 1;
-            self.overlap_saved += saved;
-            let trace = self.arms[0].trace();
-            trace.record_with(clock.now(), "disk.io.overlap", || {
-                let counts = split
-                    .iter()
-                    .map(|(idxs, _)| idxs.len().to_string())
-                    .collect::<Vec<_>>()
-                    .join("+");
-                format!("{counts} requests overlapped, {saved} saved")
-            });
         }
         for v in &mut sub_results {
             pool::recycle_results(std::mem::take(v));
@@ -890,41 +777,153 @@ mod tests {
     }
 
     #[test]
-    fn threaded_array_batch_is_bit_identical_to_serial_replay() {
-        // Same bar as the dual-drive shim, at K = 4: host threads must not
-        // change results, simulated elapsed time, trace events or buffer
-        // contents — bit for bit.
-        let run = |threads: bool| {
-            let mut d = array(4, Placement::Hash);
-            d.set_threading_enabled(threads);
-            let mut batch: Vec<BatchRequest> = (0..640u16)
-                .map(|i| {
-                    let local = 100 + 53 * (i / 4) % 4000;
-                    let da = d.unroute((i % 4) as usize, DiskAddress(local));
-                    BatchRequest::new(da, SectorOp::READ_ALL, SectorBuf::zeroed())
-                })
-                .collect();
+    fn two_range_arms_self_identify_per_pack_at_the_seam() {
+        // The paper's two-drive system: the sectors either side of the seam
+        // land on different packs, each self-identified with its own pack
+        // number and *local* address, so the Scavenger works unchanged.
+        let mut d = array(2, Placement::Range);
+        allocate(&mut d, DiskAddress(4871), live_label(0));
+        allocate(&mut d, DiskAddress(4872), live_label(1));
+        let s0 = d.arm(0).pack().unwrap().sector(DiskAddress(4871)).unwrap();
+        assert_eq!(s0.decoded_label().page_number, 0);
+        assert_eq!(s0.header, [1, 4871]);
+        let s1 = d.arm(1).pack().unwrap().sector(DiskAddress(0)).unwrap();
+        assert_eq!(s1.decoded_label().page_number, 1);
+        assert_eq!(s1.header, [2, 0]);
+        // Label checks keep their §3.3 meaning on the far arm: a wrong
+        // label claim bounces.
+        let mut buf = SectorBuf::with_label(live_label(6));
+        assert!(matches!(
+            d.do_op(DiskAddress(4872), SectorOp::READ, &mut buf),
+            Err(DiskError::Check(_))
+        ));
+    }
+
+    #[test]
+    fn out_of_range_addresses_are_rejected() {
+        let mut d = array(2, Placement::Range);
+        let mut buf = SectorBuf::zeroed();
+        for da in [DiskAddress(2 * 4872), DiskAddress::NIL] {
+            assert!(matches!(
+                d.do_op(da, SectorOp::READ_ALL, &mut buf),
+                Err(DiskError::InvalidAddress(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn straddling_batch_runs_every_request_once_on_its_own_arm() {
+        // Requests interleaved across the seam plus one nil address: every
+        // valid request runs exactly once, on its own arm, with results
+        // and header translation back in the batch's original order, and
+        // the nil request fails alone.
+        let mut d = array(2, Placement::Range);
+        let das: Vec<DiskAddress> = (0..8u16)
+            .map(|i| {
+                if i % 2 == 0 {
+                    DiskAddress(4868 + i / 2)
+                } else {
+                    DiskAddress(4872 + i / 2)
+                }
+            })
+            .collect();
+        for (i, &da) in das.iter().enumerate() {
+            allocate(&mut d, da, live_label(i as u16));
+        }
+        let ops_before = [d.arm(0).stats().ops, d.arm(1).stats().ops];
+        let mut batch: Vec<BatchRequest> = das
+            .iter()
+            .enumerate()
+            .map(|(i, &da)| {
+                BatchRequest::new(
+                    da,
+                    SectorOp::READ,
+                    SectorBuf::with_label(live_label(i as u16)),
+                )
+            })
+            .collect();
+        batch.push(BatchRequest::new(
+            DiskAddress::NIL,
+            SectorOp::READ,
+            SectorBuf::zeroed(),
+        ));
+        let results = d.do_batch(&mut batch);
+        for r in &results[..8] {
+            assert!(r.is_ok());
+        }
+        assert!(matches!(results[8], Err(DiskError::InvalidAddress(_))));
+        assert_eq!(d.arm(0).stats().ops - ops_before[0], 4);
+        assert_eq!(d.arm(1).stats().ops - ops_before[1], 4);
+        for (i, req) in batch[..8].iter().enumerate() {
+            assert_eq!(req.buf.data, [das[i].0; DATA_WORDS], "request {i}");
+            assert_eq!(req.buf.header[1], das[i].0, "request {i}");
+        }
+    }
+
+    #[test]
+    fn overlap_restores_the_longer_arm_when_the_shorter_one_errors() {
+        use alto_sim::SimTime;
+        // The mirror of `hard_error_on_one_arm_still_charges_max_of_arms`:
+        // here the *shorter* share ends in a label-check error, and the
+        // clock must still land on the longer arm's finish. The same
+        // spanning batch runs three ways from identical histories — both
+        // shares, arm 0's alone, arm 1's alone.
+        let elapsed = |which: Option<usize>| -> SimTime {
+            let mut d = array(2, Placement::Range);
+            for i in 0..6u16 {
+                allocate(&mut d, DiskAddress(200 + 37 * i), live_label(i));
+            }
+            allocate(&mut d, DiskAddress(4872 + 300), live_label(9));
+            let mut batch = Vec::new();
+            if which != Some(1) {
+                for i in 0..6u16 {
+                    batch.push(BatchRequest::new(
+                        DiskAddress(200 + 37 * i),
+                        SectorOp::READ,
+                        SectorBuf::with_label(live_label(i)),
+                    ));
+                }
+            }
+            if which != Some(0) {
+                batch.push(BatchRequest::new(
+                    DiskAddress(4872 + 300),
+                    SectorOp::READ,
+                    SectorBuf::with_label(live_label(5)),
+                ));
+            }
             let t0 = d.clock().now();
             let results = d.do_batch(&mut batch);
-            assert_eq!(d.threaded_batches(), u64::from(threads));
-            let events: Vec<(SimTime, &str, String)> = d
-                .trace()
-                .events()
-                .into_iter()
-                .map(|e| (e.at, e.tag, e.detail.clone()))
-                .collect();
-            (d.clock().now() - t0, results, events, batch)
+            if which != Some(0) {
+                assert!(matches!(results.last(), Some(Err(DiskError::Check(_)))));
+            }
+            d.clock().now() - t0
         };
-        let (serial_dt, serial_results, serial_events, serial_batch) = run(false);
-        let (threaded_dt, threaded_results, threaded_events, threaded_batch) = run(true);
-        assert_eq!(threaded_dt, serial_dt);
-        assert_eq!(threaded_results, serial_results);
-        assert_eq!(threaded_events, serial_events);
-        for (a, b) in serial_batch.iter().zip(&threaded_batch) {
-            assert_eq!(a.buf.header, b.buf.header);
-            assert_eq!(a.buf.label, b.buf.label);
-            assert_eq!(a.buf.data, b.buf.data);
+        let both = elapsed(None);
+        let arm0 = elapsed(Some(0));
+        let arm1 = elapsed(Some(1));
+        assert!(arm1 < arm0, "the failing arm must be the shorter one");
+        assert_eq!(both, arm0.max(arm1));
+    }
+
+    #[test]
+    fn arms_share_one_timeline_but_not_one_head() {
+        let mut d = array(2, Placement::Range);
+        let t0 = d.clock().now();
+        allocate(&mut d, DiskAddress(0), live_label(0));
+        allocate(&mut d, DiskAddress(4872), live_label(1));
+        assert!(d.clock().now() > t0);
+        // Seeks on arm 1 do not move arm 0's head.
+        assert_eq!(d.arm(0).current_cylinder(), 0);
+        // A batch that stays on one arm has nothing to overlap.
+        let mut batch: Vec<BatchRequest> = (0..4u16)
+            .map(|i| {
+                BatchRequest::new(DiskAddress(50 + i), SectorOp::READ_ALL, SectorBuf::zeroed())
+            })
+            .collect();
+        for r in d.do_batch(&mut batch) {
+            r.unwrap();
         }
+        assert_eq!(d.io_stats().overlap_batches, 0);
     }
 
     #[test]

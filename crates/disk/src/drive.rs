@@ -104,9 +104,9 @@ pub trait Disk {
     ///
     /// The default stages through [`Disk::do_batch`] — bit-identical
     /// results, timing, stats and traces, just with the 256-word copy in —
-    /// which is also how composite disks ([`crate::DualDrive`],
-    /// [`crate::DriveArray`]) inherit their splitting, header translation
-    /// and overlapped timelines for free. [`DiskDrive`] overrides it with a
+    /// which is also how composite disks ([`crate::DriveArray`]) inherit
+    /// their splitting, header translation and overlapped timelines for
+    /// free. [`DiskDrive`] overrides it with a
     /// genuinely zero-copy chain.
     fn do_batch_write<'a, S, V>(
         &mut self,
@@ -154,7 +154,7 @@ pub trait Disk {
 
     /// A snapshot of this disk's cumulative I/O counters, for the
     /// Executive's `iostat` command and the benches. Composite disks
-    /// (e.g. [`crate::DualDrive`]) merge their members' counters. The
+    /// (e.g. [`crate::DriveArray`]) merge their members' counters. The
     /// default — all zeros — is for disks that keep none.
     fn io_stats(&self) -> DriveStats {
         DriveStats::default()
@@ -282,10 +282,10 @@ pub struct DriveStats {
     pub wb_drains: u64,
     /// Dirty pages written by those drains.
     pub wb_coalesced: u64,
-    /// Batches that a dual-drive executed with both units overlapped.
+    /// Batches that a drive array executed with two or more arms overlapped.
     pub overlap_batches: u64,
-    /// Simulated time saved by overlapping, versus serial execution (the
-    /// smaller unit's elapsed time, summed over overlapped batches).
+    /// Simulated time saved by overlapping, versus serial execution (every
+    /// arm's elapsed time but the longest, summed over overlapped batches).
     pub overlap_saved: SimTime,
     /// Transient failures observed (each failed attempt counts once).
     pub soft_errors: u64,
@@ -415,22 +415,6 @@ impl DiskDrive {
             audit: Auditor::from_env(),
             scratch: BatchScratch::default(),
         }
-    }
-
-    /// Hands this drive a different clock, returning the old one. The
-    /// dual-drive adapter uses this to run a unit's share of a spanning
-    /// batch against a private timeline on a worker thread; ordinary code
-    /// has no business swapping clocks (the clock-discipline lint watches
-    /// the call sites that mutate time).
-    pub(crate) fn swap_clock(&mut self, clock: SimClock) -> SimClock {
-        std::mem::replace(&mut self.clock, clock)
-    }
-
-    /// Hands this drive a different trace, returning the old one — the
-    /// companion of [`DiskDrive::swap_clock`] for deterministic event
-    /// merging after threaded execution.
-    pub(crate) fn swap_trace(&mut self, trace: Trace) -> Trace {
-        std::mem::replace(&mut self.trace, trace)
     }
 
     /// Attaches a fresh non-strict §3.3 auditor (replacing any existing one,

@@ -51,7 +51,6 @@ pub mod ablation;
 pub mod array;
 pub mod audit;
 pub mod drive;
-pub mod dual;
 pub mod errors;
 pub mod geometry;
 pub mod inject;
@@ -67,7 +66,6 @@ pub use ablation::{UncheckedDisk, UnscheduledDisk};
 pub use array::{DriveArray, Placement};
 pub use audit::{AuditRule, AuditViolation, Auditor, UnparkOutcome};
 pub use drive::{Disk, DiskDrive, DriveStats};
-pub use dual::DualDrive;
 pub use errors::{CheckFailure, DiskError, SectorPart};
 pub use geometry::{DiskAddress, DiskGeometry, DiskModel};
 pub use inject::{FaultInjector, FaultKind};

@@ -11,129 +11,97 @@
 //!
 //! Pooling is a *host-side* optimization: it never touches the simulated
 //! clock, the trace contents, or §3.3 semantics — recycled vectors are
-//! always cleared before reuse. [`set_enabled`] is the ablation switch the
-//! wall-clock benchmark uses to measure exactly what pooling buys; disabled,
-//! the take functions return fresh vectors and the recycle functions drop.
+//! always cleared before reuse. [`FreeList`] is the one mechanism; the fs,
+//! streams and net pools keep their own lists of it.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::errors::DiskError;
 use crate::geometry::DiskAddress;
 use crate::sched::BatchRequest;
 
-/// Global pooling gate (on by default). Relaxed ordering suffices: the flag
-/// only selects between two correct allocation strategies.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// True when the free lists are in use (the default).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// A bounded free list of empty vectors, meant to live in a
+/// `thread_local!`: [`FreeList::take`] pops a warm vector (or starts a
+/// fresh one) and [`FreeList::recycle`] clears one and keeps it unless the
+/// list already holds `cap`, in which case it is simply dropped.
+#[derive(Debug)]
+pub struct FreeList<T> {
+    vecs: RefCell<Vec<Vec<T>>>,
+    cap: usize,
 }
 
-/// Turns the free lists on or off, process-wide. Off, every take allocates
-/// and every recycle drops — the benchmark's "seed allocation behavior"
-/// ablation.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+impl<T> FreeList<T> {
+    /// An empty list that retains at most `cap` vectors.
+    pub const fn new(cap: usize) -> Self {
+        FreeList {
+            vecs: RefCell::new(Vec::new()),
+            cap,
+        }
+    }
+
+    /// An empty vector, recycled when one is available.
+    pub fn take(&self) -> Vec<T> {
+        self.vecs.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Returns a vector to the list (contents are dropped).
+    pub fn recycle(&self, mut v: Vec<T>) {
+        if v.capacity() == 0 {
+            return;
+        }
+        v.clear();
+        let mut vecs = self.vecs.borrow_mut();
+        if vecs.len() < self.cap {
+            vecs.push(v);
+        }
+    }
 }
 
 /// How many vectors each free list retains per thread. Four covers the
-/// deepest current nesting (a dual-drive batch inside an fs batch, with a
+/// deepest current nesting (a drive-array batch inside an fs batch, with a
 /// write-behind flush in flight); anything beyond the cap is simply dropped.
 const PER_LIST: usize = 4;
 
-struct FreeLists {
-    batches: Vec<Vec<BatchRequest>>,
-    results: Vec<Vec<Result<(), DiskError>>>,
-    das: Vec<Vec<DiskAddress>>,
-}
-
 thread_local! {
-    static LISTS: RefCell<FreeLists> = const {
-        RefCell::new(FreeLists {
-            batches: Vec::new(),
-            results: Vec::new(),
-            das: Vec::new(),
-        })
-    };
+    static BATCHES: FreeList<BatchRequest> = const { FreeList::new(PER_LIST) };
+    static RESULTS: FreeList<Result<(), DiskError>> = const { FreeList::new(PER_LIST) };
+    static DAS: FreeList<DiskAddress> = const { FreeList::new(PER_LIST) };
 }
 
 /// An empty request vector, recycled when possible.
 pub fn batch_vec() -> Vec<BatchRequest> {
-    if !enabled() {
-        return Vec::new();
-    }
-    LISTS
-        .with(|l| l.borrow_mut().batches.pop())
-        .unwrap_or_default()
+    BATCHES.with(FreeList::take)
 }
 
 /// Returns a request vector to the free list (contents are dropped).
-pub fn recycle_batch(mut v: Vec<BatchRequest>) {
-    if !enabled() || v.capacity() == 0 {
-        return;
-    }
-    v.clear();
-    LISTS.with(|l| {
-        let mut lists = l.borrow_mut();
-        if lists.batches.len() < PER_LIST {
-            lists.batches.push(v);
-        }
-    });
+pub fn recycle_batch(v: Vec<BatchRequest>) {
+    BATCHES.with(|l| l.recycle(v));
 }
 
 /// An empty per-request result vector, recycled when possible.
 pub fn results_vec() -> Vec<Result<(), DiskError>> {
-    if !enabled() {
-        return Vec::new();
-    }
-    LISTS
-        .with(|l| l.borrow_mut().results.pop())
-        .unwrap_or_default()
+    RESULTS.with(FreeList::take)
 }
 
 /// Returns a result vector to the free list.
-pub fn recycle_results(mut v: Vec<Result<(), DiskError>>) {
-    if !enabled() || v.capacity() == 0 {
-        return;
-    }
-    v.clear();
-    LISTS.with(|l| {
-        let mut lists = l.borrow_mut();
-        if lists.results.len() < PER_LIST {
-            lists.results.push(v);
-        }
-    });
+pub fn recycle_results(v: Vec<Result<(), DiskError>>) {
+    RESULTS.with(|l| l.recycle(v));
 }
 
 /// An empty disk-address vector, recycled when possible — the zero-copy
 /// batch paths take their address lists from here.
 pub fn da_vec() -> Vec<DiskAddress> {
-    if !enabled() {
-        return Vec::new();
-    }
-    LISTS.with(|l| l.borrow_mut().das.pop()).unwrap_or_default()
+    DAS.with(FreeList::take)
 }
 
 /// Returns a disk-address vector to the free list.
-pub fn recycle_das(mut v: Vec<DiskAddress>) {
-    if !enabled() || v.capacity() == 0 {
-        return;
-    }
-    v.clear();
-    LISTS.with(|l| {
-        let mut lists = l.borrow_mut();
-        if lists.das.len() < PER_LIST {
-            lists.das.push(v);
-        }
-    });
+pub fn recycle_das(v: Vec<DiskAddress>) {
+    DAS.with(|l| l.recycle(v));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::DiskAddress;
     use crate::sector::{SectorBuf, SectorOp};
 
     #[test]
@@ -154,24 +122,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_hands_out_fresh_vectors() {
-        set_enabled(false);
-        let mut v = results_vec();
-        v.push(Ok(()));
-        recycle_results(v);
-        let v2 = results_vec();
-        assert_eq!(v2.capacity(), 0);
-        set_enabled(true);
-    }
-
-    #[test]
     fn free_list_is_bounded() {
+        let list = FreeList::new(PER_LIST);
         for _ in 0..2 * PER_LIST {
-            let mut v = results_vec();
-            v.reserve(4);
-            recycle_results(v);
+            list.recycle(Vec::<u16>::with_capacity(4));
         }
-        let held = LISTS.with(|l| l.borrow().results.len());
-        assert!(held <= PER_LIST);
+        assert_eq!(list.vecs.borrow().len(), PER_LIST);
+        // Vectors that never allocated are not worth keeping.
+        list.take();
+        list.recycle(Vec::new());
+        assert_eq!(list.vecs.borrow().len(), PER_LIST - 1);
     }
 }

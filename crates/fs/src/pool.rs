@@ -5,18 +5,14 @@
 //! a per-page result vector from [`crate::page::write_pages_guessed`]. Under
 //! a steady rewrite workload (the fault-campaign bench, a §4.1 world swap)
 //! those two vectors used to be the last per-call heap traffic on the write
-//! path. They now come from small thread-local free lists, following
-//! [`alto_disk::pool`]'s pattern, so a warm rewrite touches the heap zero
-//! times.
+//! path. They now come from small thread-local [`FreeList`]s, the mechanism
+//! of [`alto_disk::pool`], so a warm rewrite touches the heap zero times.
 //!
 //! This is a host-side optimization only: it never touches the simulated
 //! clock or the §3.3 semantics, and recycled vectors are always cleared
-//! before reuse. The lists share the disk pool's
-//! [`alto_disk::pool::enabled`] ablation gate so the wall-clock benchmark's
-//! `pooling` switch measures every layer together.
+//! before reuse.
 
-use std::cell::RefCell;
-
+use alto_disk::pool::FreeList;
 use alto_disk::{Label, DATA_WORDS};
 
 use crate::errors::FsError;
@@ -27,70 +23,29 @@ use crate::errors::FsError;
 /// write). Anything beyond the cap is simply dropped.
 const PER_LIST: usize = 4;
 
-struct FreeLists {
-    chunks: Vec<Vec<[u16; DATA_WORDS]>>,
-    labels: Vec<Vec<Result<Label, FsError>>>,
-}
-
 thread_local! {
-    static LISTS: RefCell<FreeLists> = const {
-        RefCell::new(FreeLists {
-            chunks: Vec::new(),
-            labels: Vec::new(),
-        })
-    };
-}
-
-fn enabled() -> bool {
-    alto_disk::pool::enabled()
+    static CHUNKS: FreeList<[u16; DATA_WORDS]> = const { FreeList::new(PER_LIST) };
+    static LABELS: FreeList<Result<Label, FsError>> = const { FreeList::new(PER_LIST) };
 }
 
 /// An empty page-image vector, recycled when possible.
 pub fn chunks_vec() -> Vec<[u16; DATA_WORDS]> {
-    if !enabled() {
-        return Vec::new();
-    }
-    LISTS
-        .with(|l| l.borrow_mut().chunks.pop())
-        .unwrap_or_default()
+    CHUNKS.with(FreeList::take)
 }
 
 /// Returns a page-image vector to the free list (contents are dropped).
-pub fn recycle_chunks(mut v: Vec<[u16; DATA_WORDS]>) {
-    if !enabled() || v.capacity() == 0 {
-        return;
-    }
-    v.clear();
-    LISTS.with(|l| {
-        let mut lists = l.borrow_mut();
-        if lists.chunks.len() < PER_LIST {
-            lists.chunks.push(v);
-        }
-    });
+pub fn recycle_chunks(v: Vec<[u16; DATA_WORDS]>) {
+    CHUNKS.with(|l| l.recycle(v));
 }
 
 /// An empty guessed-write result vector, recycled when possible.
 pub fn labels_vec() -> Vec<Result<Label, FsError>> {
-    if !enabled() {
-        return Vec::new();
-    }
-    LISTS
-        .with(|l| l.borrow_mut().labels.pop())
-        .unwrap_or_default()
+    LABELS.with(FreeList::take)
 }
 
 /// Returns a guessed-write result vector to the free list.
-pub fn recycle_labels(mut v: Vec<Result<Label, FsError>>) {
-    if !enabled() || v.capacity() == 0 {
-        return;
-    }
-    v.clear();
-    LISTS.with(|l| {
-        let mut lists = l.borrow_mut();
-        if lists.labels.len() < PER_LIST {
-            lists.labels.push(v);
-        }
-    });
+pub fn recycle_labels(v: Vec<Result<Label, FsError>>) {
+    LABELS.with(|l| l.recycle(v));
 }
 
 #[cfg(test)]
@@ -99,7 +54,6 @@ mod tests {
 
     #[test]
     fn round_trip_reuses_capacity() {
-        alto_disk::pool::set_enabled(true);
         let mut v = chunks_vec();
         v.push([0; DATA_WORDS]);
         let cap = v.capacity();
@@ -107,17 +61,5 @@ mod tests {
         let v2 = chunks_vec();
         assert!(v2.is_empty());
         assert!(v2.capacity() >= cap.min(1));
-    }
-
-    #[test]
-    fn free_lists_are_bounded() {
-        alto_disk::pool::set_enabled(true);
-        for _ in 0..2 * PER_LIST {
-            let mut v = labels_vec();
-            v.reserve(4);
-            recycle_labels(v);
-        }
-        let held = LISTS.with(|l| l.borrow().labels.len());
-        assert!(held <= PER_LIST);
     }
 }

@@ -6,10 +6,10 @@
 //! clock, so a disk drive and a CPU constructed from clones of one clock
 //! charge their costs to a single timeline.
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A point in (or span of) simulated time, in nanoseconds.
 ///
@@ -114,8 +114,7 @@ impl fmt::Display for SimTime {
 /// All simulated devices hold a clone of the same `SimClock` and call
 /// [`SimClock::advance`] as they consume time. Tests and benchmarks read the
 /// clock before and after an operation to obtain its simulated cost. The
-/// handle is `Send`/`Sync`, so overlapped device timelines (a dual drive's
-/// two arms) may run on worker threads, each against its own private clock.
+/// simulation is single-threaded, so the handle is a plain shared cell.
 ///
 /// # Examples
 ///
@@ -129,7 +128,7 @@ impl fmt::Display for SimTime {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    now: Arc<AtomicU64>,
+    now: Rc<Cell<u64>>,
 }
 
 impl SimClock {
@@ -140,12 +139,12 @@ impl SimClock {
 
     /// The current simulated instant.
     pub fn now(&self) -> SimTime {
-        SimTime(self.now.load(Ordering::Relaxed))
+        SimTime(self.now.get())
     }
 
     /// Advances the clock by `dt`.
     pub fn advance(&self, dt: SimTime) {
-        self.now.fetch_add(dt.0, Ordering::Relaxed);
+        self.now.set(self.now.get() + dt.0);
     }
 
     /// Measures the simulated time consumed by `f`.
@@ -158,15 +157,15 @@ impl SimClock {
     /// Sets the clock to an absolute instant.
     ///
     /// This exists for devices that model *overlapped* internal timelines:
-    /// a dual-drive adapter executes each unit's half of a batch from the
-    /// same start instant and then sets the clock to the later finish, so
-    /// the elapsed time is the maximum of the two units' times rather than
-    /// their sum. It must only be used by a device while it has exclusive
+    /// a drive array executes each arm's share of a batch from the same
+    /// start instant and then sets the clock to the latest finish, so the
+    /// elapsed time is the maximum of the arms' times rather than their
+    /// sum. It must only be used by a device while it has exclusive
     /// control of the timeline (a synchronous operation), so no other
     /// device observes an intermediate instant. Ordinary devices should
     /// only ever [`SimClock::advance`].
     pub fn set(&self, t: SimTime) {
-        self.now.store(t.as_nanos(), Ordering::Relaxed);
+        self.now.set(t.as_nanos());
     }
 }
 

@@ -8,10 +8,10 @@
 //! benchmarks may gate it off with [`Trace::set_enabled`] so the hot paths
 //! skip event formatting entirely (see [`Trace::record_with`]).
 
+use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::clock::SimTime;
 
@@ -38,24 +38,23 @@ const DEFAULT_CAPACITY: usize = 64 * 1024;
 ///
 /// Clones share the same buffer (and the same enabled gate). When the buffer
 /// fills, the oldest events are dropped (tests that care run on fresh traces,
-/// and counters are never dropped). The handle is `Send`/`Sync`, so overlapped
-/// device timelines may record from worker threads.
+/// and counters are never dropped).
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 #[derive(Debug)]
 struct Shared {
-    inner: Mutex<Inner>,
-    enabled: AtomicBool,
+    inner: RefCell<Inner>,
+    enabled: Cell<bool>,
 }
 
 impl Default for Shared {
     fn default() -> Self {
         Shared {
-            inner: Mutex::new(Inner::default()),
-            enabled: AtomicBool::new(true),
+            inner: RefCell::new(Inner::default()),
+            enabled: Cell::new(true),
         }
     }
 }
@@ -72,18 +71,17 @@ impl Trace {
         Trace::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A poisoned trace buffer cannot corrupt simulation state (it holds
-        // only diagnostics), so recording continues past a panicked peer.
-        match self.shared.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
+    fn inner(&self) -> Ref<'_, Inner> {
+        self.shared.inner.borrow()
+    }
+
+    fn inner_mut(&self) -> RefMut<'_, Inner> {
+        self.shared.inner.borrow_mut()
     }
 
     /// True when recording is on (the default).
     pub fn enabled(&self) -> bool {
-        self.shared.enabled.load(Ordering::Relaxed)
+        self.shared.enabled.get()
     }
 
     /// Turns recording on or off for every clone of this trace.
@@ -92,7 +90,7 @@ impl Trace {
     /// that skip detail formatting — the wall-clock benchmark's ablation
     /// switch. Buffered events are kept.
     pub fn set_enabled(&self, on: bool) {
-        self.shared.enabled.store(on, Ordering::Relaxed);
+        self.shared.enabled.set(on);
     }
 
     /// Records an event.
@@ -105,8 +103,8 @@ impl Trace {
 
     /// Records an event, building the detail string lazily.
     ///
-    /// Hot paths use this so a disabled trace costs one relaxed atomic load
-    /// — no `format!`, no allocation.
+    /// Hot paths use this so a disabled trace costs one flag read — no
+    /// `format!`, no allocation.
     pub fn record_with(&self, at: SimTime, tag: &'static str, detail: impl FnOnce() -> String) {
         if !self.enabled() {
             return;
@@ -115,7 +113,7 @@ impl Trace {
     }
 
     fn push(&self, at: SimTime, tag: &'static str, detail: String) {
-        let mut inner = self.lock();
+        let mut inner = self.inner_mut();
         if inner.events.len() >= DEFAULT_CAPACITY {
             inner.events.pop_front();
             inner.dropped += 1;
@@ -123,52 +121,30 @@ impl Trace {
         inner.events.push_back(TraceEvent { at, tag, detail });
     }
 
-    /// Appends every event of `other` (oldest first) to this trace,
-    /// draining `other`.
-    ///
-    /// A dual-drive adapter runs each unit's share of a batch on its own
-    /// private trace and merges them back in unit order, so the shared log
-    /// stays deterministic regardless of thread interleaving.
-    pub fn absorb(&self, other: &Trace) {
-        let mut moved = {
-            let mut src = other.lock();
-            src.dropped = 0;
-            std::mem::take(&mut src.events)
-        };
-        let mut inner = self.lock();
-        for ev in moved.drain(..) {
-            if inner.events.len() >= DEFAULT_CAPACITY {
-                inner.events.pop_front();
-                inner.dropped += 1;
-            }
-            inner.events.push_back(ev);
-        }
-    }
-
     /// Number of recorded events with the given tag.
     pub fn count(&self, tag: &str) -> usize {
-        self.lock().events.iter().filter(|e| e.tag == tag).count()
+        self.inner().events.iter().filter(|e| e.tag == tag).count()
     }
 
     /// Total number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.lock().events.len()
+        self.inner().events.len()
     }
 
     /// True if no events have been recorded (and none dropped).
     pub fn is_empty(&self) -> bool {
-        let inner = self.lock();
+        let inner = self.inner();
         inner.events.is_empty() && inner.dropped == 0
     }
 
     /// A snapshot of all buffered events (oldest first).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().events.iter().cloned().collect()
+        self.inner().events.iter().cloned().collect()
     }
 
     /// Events matching `tag`, oldest first.
     pub fn events_tagged(&self, tag: &str) -> Vec<TraceEvent> {
-        self.lock()
+        self.inner()
             .events
             .iter()
             .filter(|e| e.tag == tag)
@@ -178,14 +154,14 @@ impl Trace {
 
     /// Discards all buffered events and resets the dropped counter.
     pub fn clear(&self) {
-        let mut inner = self.lock();
+        let mut inner = self.inner_mut();
         inner.events.clear();
         inner.dropped = 0;
     }
 
     /// Number of events lost to the capacity bound since the last clear.
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        self.inner().dropped
     }
 }
 
@@ -227,28 +203,6 @@ mod tests {
         t.set_enabled(true);
         t.record_with(SimTime::ZERO, "c", || "lazy".to_string());
         assert_eq!(t.count("c"), 1);
-    }
-
-    #[test]
-    fn absorb_moves_events_in_order() {
-        let shared = Trace::new();
-        shared.record(SimTime::from_micros(1), "s", "first");
-        let unit = Trace::new();
-        unit.record(SimTime::from_micros(2), "u", "second");
-        unit.record(SimTime::from_micros(3), "u", "third");
-        shared.absorb(&unit);
-        assert!(unit.is_empty());
-        let evs = shared.events();
-        assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0].detail, "first");
-        assert_eq!(evs[1].detail, "second");
-        assert_eq!(evs[2].detail, "third");
-    }
-
-    #[test]
-    fn trace_handle_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Trace>();
     }
 
     #[test]

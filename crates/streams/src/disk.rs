@@ -162,7 +162,7 @@ impl<D: Disk> DiskByteStream<D> {
     pub fn set_position(&mut self, fs: &mut FileSystem<D>, pos: u64) -> Result<(), StreamError> {
         self.check_open()?;
         let target_page = (pos / PAGE_BYTES as u64) as u16 + 1;
-        let target_offset = (pos % PAGE_BYTES as u64) as usize;
+        let mut target_offset = (pos % PAGE_BYTES as u64) as usize;
         if target_page != self.page {
             self.flush(fs)?;
             // Walk from the current page if the target is ahead, else from
@@ -176,7 +176,16 @@ impl<D: Disk> DiskByteStream<D> {
             loop {
                 let pn = PageName::new(self.file.fv, page, da);
                 let (label, buffer) = fs.read_page(pn)?;
-                if page == target_page {
+                // The end of a file whose last page is full lies just past
+                // that page: land at the end of the page itself.
+                let full_end = page + 1 == target_page
+                    && target_offset == 0
+                    && label.next.is_nil()
+                    && label.length as usize == PAGE_BYTES;
+                if full_end {
+                    target_offset = PAGE_BYTES;
+                }
+                if page == target_page || full_end {
                     self.page = page;
                     self.da = da;
                     self.label = label;
@@ -935,6 +944,23 @@ mod tests {
         assert_eq!(s.get_byte(&mut fs), Err(StreamError::EndOfStream));
         // Past the end: error.
         assert!(s.set_position(&mut fs, 3000).is_err());
+    }
+
+    #[test]
+    fn seek_to_the_end_of_a_page_aligned_file_appends() {
+        let mut fs = fresh_fs();
+        let f = file_named(&mut fs, "aligned.dat");
+        let bytes: Vec<u8> = (0..1024u32).map(|i| (i % 251) as u8).collect();
+        fs.write_file(f, &bytes).unwrap();
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        s.set_position(&mut fs, 1024).unwrap();
+        assert_eq!(s.position(), 1024);
+        s.put_byte(&mut fs, 0xEE).unwrap();
+        s.close(&mut fs).unwrap();
+        let back = fs.read_file(f).unwrap();
+        assert_eq!(back.len(), 1025);
+        assert_eq!(back[..1024], bytes[..]);
+        assert_eq!(back[1024], 0xEE);
     }
 
     #[test]

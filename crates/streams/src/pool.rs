@@ -10,14 +10,12 @@
 //! stream is dropped, so a steady open/transfer/close cycle touches the
 //! heap zero times.
 //!
-//! Like [`alto_disk::pool`], this is a host-side optimization only: it
-//! never touches the simulated clock or the §3.3 semantics, and recycled
-//! vectors are always cleared before reuse. The lists share the disk pool's
-//! [`alto_disk::pool::enabled`] ablation gate so the wall-clock benchmark's
-//! `pooling` switch measures both layers together.
+//! Like the disk pools ([`alto_disk::pool`], whose [`FreeList`] these
+//! lists are), this is a host-side optimization only: it never touches the
+//! simulated clock or the §3.3 semantics, and recycled vectors are always
+//! cleared before reuse.
 
-use std::cell::RefCell;
-
+use alto_disk::pool::FreeList;
 use alto_disk::{DiskAddress, Label, DATA_WORDS};
 use alto_fs::page::PageResult;
 use alto_fs::FsError;
@@ -34,122 +32,51 @@ pub type ParkedPage = (u16, DiskAddress, [u16; DATA_WORDS]);
 /// beyond the cap is simply dropped.
 const PER_LIST: usize = 4;
 
-struct FreeLists {
-    readahead: Vec<Vec<ReadaheadPage>>,
-    parked: Vec<Vec<ParkedPage>>,
-    labels: Vec<Vec<Result<Label, FsError>>>,
-    reads: Vec<Vec<PageResult>>,
-}
-
 thread_local! {
-    static LISTS: RefCell<FreeLists> = const {
-        RefCell::new(FreeLists {
-            readahead: Vec::new(),
-            parked: Vec::new(),
-            labels: Vec::new(),
-            reads: Vec::new(),
-        })
-    };
-}
-
-fn enabled() -> bool {
-    alto_disk::pool::enabled()
+    static READAHEAD: FreeList<ReadaheadPage> = const { FreeList::new(PER_LIST) };
+    static PARKED: FreeList<ParkedPage> = const { FreeList::new(PER_LIST) };
+    static LABELS: FreeList<Result<Label, FsError>> = const { FreeList::new(PER_LIST) };
+    static READS: FreeList<PageResult> = const { FreeList::new(PER_LIST) };
 }
 
 /// An empty readahead buffer, recycled when possible.
 pub fn readahead_vec() -> Vec<ReadaheadPage> {
-    if !enabled() {
-        return Vec::new();
-    }
-    LISTS
-        .with(|l| l.borrow_mut().readahead.pop())
-        .unwrap_or_default()
+    READAHEAD.with(FreeList::take)
 }
 
 /// Returns a readahead buffer to the free list (contents are dropped).
-pub fn recycle_readahead(mut v: Vec<ReadaheadPage>) {
-    if !enabled() || v.capacity() == 0 {
-        return;
-    }
-    v.clear();
-    LISTS.with(|l| {
-        let mut lists = l.borrow_mut();
-        if lists.readahead.len() < PER_LIST {
-            lists.readahead.push(v);
-        }
-    });
+pub fn recycle_readahead(v: Vec<ReadaheadPage>) {
+    READAHEAD.with(|l| l.recycle(v));
 }
 
 /// An empty parked-page vector, recycled when possible.
 pub fn parked_vec() -> Vec<ParkedPage> {
-    if !enabled() {
-        return Vec::new();
-    }
-    LISTS
-        .with(|l| l.borrow_mut().parked.pop())
-        .unwrap_or_default()
+    PARKED.with(FreeList::take)
 }
 
 /// Returns a parked-page vector to the free list.
-pub fn recycle_parked(mut v: Vec<ParkedPage>) {
-    if !enabled() || v.capacity() == 0 {
-        return;
-    }
-    v.clear();
-    LISTS.with(|l| {
-        let mut lists = l.borrow_mut();
-        if lists.parked.len() < PER_LIST {
-            lists.parked.push(v);
-        }
-    });
+pub fn recycle_parked(v: Vec<ParkedPage>) {
+    PARKED.with(|l| l.recycle(v));
 }
 
 /// An empty write-result vector, recycled when possible.
 pub fn labels_vec() -> Vec<Result<Label, FsError>> {
-    if !enabled() {
-        return Vec::new();
-    }
-    LISTS
-        .with(|l| l.borrow_mut().labels.pop())
-        .unwrap_or_default()
+    LABELS.with(FreeList::take)
 }
 
 /// Returns a write-result vector to the free list.
-pub fn recycle_labels(mut v: Vec<Result<Label, FsError>>) {
-    if !enabled() || v.capacity() == 0 {
-        return;
-    }
-    v.clear();
-    LISTS.with(|l| {
-        let mut lists = l.borrow_mut();
-        if lists.labels.len() < PER_LIST {
-            lists.labels.push(v);
-        }
-    });
+pub fn recycle_labels(v: Vec<Result<Label, FsError>>) {
+    LABELS.with(|l| l.recycle(v));
 }
 
 /// An empty page-result vector, recycled when possible.
 pub fn reads_vec() -> Vec<PageResult> {
-    if !enabled() {
-        return Vec::new();
-    }
-    LISTS
-        .with(|l| l.borrow_mut().reads.pop())
-        .unwrap_or_default()
+    READS.with(FreeList::take)
 }
 
 /// Returns a page-result vector to the free list.
-pub fn recycle_reads(mut v: Vec<PageResult>) {
-    if !enabled() || v.capacity() == 0 {
-        return;
-    }
-    v.clear();
-    LISTS.with(|l| {
-        let mut lists = l.borrow_mut();
-        if lists.reads.len() < PER_LIST {
-            lists.reads.push(v);
-        }
-    });
+pub fn recycle_reads(v: Vec<PageResult>) {
+    READS.with(|l| l.recycle(v));
 }
 
 #[cfg(test)]
@@ -158,7 +85,6 @@ mod tests {
 
     #[test]
     fn round_trip_reuses_capacity() {
-        alto_disk::pool::set_enabled(true);
         let mut v = parked_vec();
         for i in 0..4u16 {
             v.push((i, DiskAddress(i), [0; DATA_WORDS]));
@@ -168,28 +94,5 @@ mod tests {
         let v2 = parked_vec();
         assert!(v2.is_empty());
         assert!(v2.capacity() >= cap.min(4));
-    }
-
-    #[test]
-    fn disabled_pool_hands_out_fresh_vectors() {
-        alto_disk::pool::set_enabled(false);
-        let mut v = readahead_vec();
-        v.push((1, DiskAddress(1), Label::FREE, [0; DATA_WORDS]));
-        recycle_readahead(v);
-        let v2 = readahead_vec();
-        assert_eq!(v2.capacity(), 0);
-        alto_disk::pool::set_enabled(true);
-    }
-
-    #[test]
-    fn free_lists_are_bounded() {
-        alto_disk::pool::set_enabled(true);
-        for _ in 0..2 * PER_LIST {
-            let mut v = labels_vec();
-            v.reserve(4);
-            recycle_labels(v);
-        }
-        let held = LISTS.with(|l| l.borrow().labels.len());
-        assert!(held <= PER_LIST);
     }
 }

@@ -391,6 +391,29 @@ fn sneak_parallelism(&mut self) {
 }
 
 #[test]
+fn analyze_catches_thread_scope_inside_disk() {
+    // No crate is exempt: the drive array, the one place where arm shares
+    // could plausibly run in parallel, models that overlap in simulated
+    // time instead.
+    let seeded = r#"
+fn overlap_on_threads(&mut self) {
+    std::thread::scope(|s| {
+        s.spawn(|| self.sweep_arm(1));
+    });
+}
+"#;
+    let report = xtask::analyze_sources(&[("crates/disk/src/array.rs", seeded)]);
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.rule == "thread-discipline"),
+        "analyze must flag host threads inside crates/disk, got {:?}",
+        report.violations
+    );
+}
+
+#[test]
 fn analyze_catches_clock_mutation_reached_through_a_helper() {
     let seeded = r#"
 fn skip_ahead(&mut self) {

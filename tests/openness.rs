@@ -194,13 +194,19 @@ fn zone_over_junta_reclaimed_memory() {
 }
 
 /// Two drives, one file system (§2: "one or two moving-head disk
-/// drives"): the DualDrive adapter makes the standard file system span
-/// both packs, and files land on whichever drive has the space.
+/// drives"): a two-arm range drive array makes the standard file system
+/// span both packs, and files land on whichever drive has the space.
 #[test]
 fn one_file_system_across_two_drives() {
-    use alto::disk::DualDrive;
+    use alto::disk::{DriveArray, Placement};
     let clock = SimClock::new();
-    let dual = DualDrive::with_formatted_packs(clock, Trace::new(), DiskModel::Diablo31);
+    let dual = DriveArray::with_arms(
+        2,
+        Placement::Range,
+        clock,
+        Trace::new(),
+        DiskModel::Diablo31,
+    );
     let mut fs = FileSystem::format(dual).unwrap();
     assert_eq!(fs.descriptor().bitmap.len(), 2 * 4872);
 
@@ -214,7 +220,7 @@ fn one_file_system_across_two_drives() {
         names.push(name);
     }
     // Unit 1 definitely has live pages now.
-    let (_, used_1, _) = fs.disk().unit(1).pack().unwrap().label_census();
+    let (_, used_1, _) = fs.disk().arm(1).pack().unwrap().label_census();
     assert!(used_1 > 1000, "unit 1 only has {used_1} live pages");
 
     // Everything reads back.
