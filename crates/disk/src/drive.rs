@@ -19,7 +19,7 @@ use crate::inject::FaultInjector;
 use crate::pack::DiskPack;
 use crate::pool;
 use crate::sched::{self, BatchRequest};
-use crate::sector::{apply, check_part, Action, SectorBuf, SectorOp};
+use crate::sector::{apply, check_part, Action, Sector, SectorBuf, SectorOp};
 use crate::timing::TimingModel;
 use crate::view::{SectorView, WriteSource};
 
@@ -70,8 +70,11 @@ pub trait Disk {
     /// drive, index order for the staged default).
     ///
     /// The default stages through [`Disk::do_batch`] — bit-identical
-    /// results, timing, stats and traces, just with the 512-byte copy in.
-    /// [`DiskDrive`] overrides it with a genuinely zero-copy chain and
+    /// results, stats and disk timing, just with the 512-byte copy in, and
+    /// every visit after the whole batch. [`DiskDrive`] overrides it with a
+    /// zero-copy chain whose visits overlap the controller (a visit starts
+    /// once its sector is in and the previous visit's clock charges are
+    /// spent), audited and fault-injected runs included, and
     /// [`crate::DriveArray`] splits it across arms on overlapped
     /// sub-timelines.
     fn do_batch_read<F>(&mut self, das: &[DiskAddress], mut visit: F) -> Vec<Result<(), DiskError>>
@@ -100,14 +103,14 @@ pub trait Disk {
     /// and `visit` is lent the serviced sector (post-write, so the label a
     /// passed check captured is exactly what the view shows) at most once
     /// per request, never for a failed one. The write-side twin of
-    /// [`DiskDrive::do_batch_read`].
+    /// [`Disk::do_batch_read`], with the same visit timing.
     ///
     /// The default stages through [`Disk::do_batch`] — bit-identical
     /// results, timing, stats and traces, just with the 256-word copy in —
     /// which is also how composite disks ([`crate::DriveArray`]) inherit
     /// their splitting, header translation and overlapped timelines for
-    /// free. [`DiskDrive`] overrides it with a
-    /// genuinely zero-copy chain.
+    /// free. [`DiskDrive`] overrides it with a zero-copy chain, audited and
+    /// fault-injected runs included.
     fn do_batch_write<'a, S, V>(
         &mut self,
         das: &[DiskAddress],
@@ -337,6 +340,13 @@ impl DriveStats {
 }
 
 /// A simulated moving-head drive with one removable pack.
+///
+/// Every operation — [`Disk::do_op`], and the three batch forms
+/// ([`Disk::do_batch`] with caller-owned buffers, [`Disk::do_batch_read`]
+/// with lent read views, [`Disk::do_batch_write`] with borrowed write
+/// sources) — runs through one per-sector step and, for batches, one batch
+/// driver. The §3.3 auditor and the fault injector are hooks inside that
+/// step, so the audited path and the zero-copy path are the same code.
 #[derive(Debug)]
 pub struct DiskDrive {
     clock: SimClock,
@@ -349,7 +359,7 @@ pub struct DiskDrive {
     scratch: BatchScratch,
 }
 
-/// Per-drive working storage for [`Disk::do_batch`], kept across batches so
+/// Per-drive working storage for the batch driver, kept across batches so
 /// the steady state replans and reschedules without heap allocation.
 #[derive(Debug, Default)]
 struct BatchScratch {
@@ -363,41 +373,358 @@ struct BatchScratch {
     plan: sched::PlanScratch,
 }
 
-/// Hot-path counters the zero-copy batch read accumulates in locals and
-/// flushes into [`DriveStats`] once per batch — the totals are identical,
-/// only the per-sector read-modify-writes on the shared struct go away.
-#[derive(Debug, Default)]
-struct ViewChainStats {
-    ops: u64,
-    sectors_read: u64,
-    write_ops: u64,
-    sectors_written: u64,
-    failed_checks: u64,
-    seeks: u64,
-    seek_time: SimTime,
-    rotational_wait: SimTime,
-    transfer_time: SimTime,
-}
-
-impl ViewChainStats {
-    fn flush_into(self, stats: &mut DriveStats) {
-        stats.ops += self.ops;
-        stats.sectors_read += self.sectors_read;
-        stats.write_ops += self.write_ops;
-        stats.sectors_written += self.sectors_written;
-        stats.failed_checks += self.failed_checks;
-        stats.seeks += self.seeks;
-        stats.seek_time += self.seek_time;
-        stats.rotational_wait += self.rotational_wait;
-        stats.transfer_time += self.transfer_time;
-    }
-}
-
 #[derive(Debug)]
 struct Loaded {
     pack: DiskPack,
     timing: TimingModel,
     cylinder: u16,
+}
+
+/// The memory side of one batch: what each request asks for, where its
+/// words come from, and where a serviced sector goes. The batch driver and
+/// the per-sector step are written once against this; the forms differ
+/// only in how memory meets the platter.
+trait Requests {
+    /// Request `i`'s address and operation.
+    fn request(&self, i: usize) -> (DiskAddress, SectorOp);
+
+    /// Request `i`'s memory words as a [`SectorBuf`] the hooks (and the
+    /// damaged-media path) can observe: the caller's own buffer where there
+    /// is one, staged where there is not.
+    fn stage(&mut self, i: usize) -> &mut SectorBuf;
+
+    /// Applies request `i` to its sound platter sector with no hook armed,
+    /// §3.3 checks included.
+    fn transfer(
+        &mut self,
+        i: usize,
+        da: DiskAddress,
+        sector: &mut Sector,
+    ) -> Result<(), DiskError> {
+        let op = self.request(i).1;
+        apply(op, da, sector, self.stage(i))
+    }
+
+    /// Lends serviced request `i`'s sector to the caller's visitor, if
+    /// the form has one (never a failed request).
+    fn lend(&mut self, _i: usize, _view: SectorView<'_>) {}
+}
+
+/// [`Disk::do_op`]: one caller-owned buffer.
+struct One<'b> {
+    da: DiskAddress,
+    op: SectorOp,
+    buf: &'b mut SectorBuf,
+}
+
+impl Requests for One<'_> {
+    fn request(&self, _: usize) -> (DiskAddress, SectorOp) {
+        (self.da, self.op)
+    }
+
+    fn stage(&mut self, _: usize) -> &mut SectorBuf {
+        self.buf
+    }
+}
+
+/// [`Disk::do_batch`]: caller-owned buffers.
+impl Requests for [BatchRequest] {
+    fn request(&self, i: usize) -> (DiskAddress, SectorOp) {
+        (self[i].da, self[i].op)
+    }
+
+    fn stage(&mut self, i: usize) -> &mut SectorBuf {
+        &mut self[i].buf
+    }
+}
+
+/// [`Disk::do_batch_read`]: `READ_ALL`, each serviced sector lent in place.
+struct Reads<'a, F> {
+    das: &'a [DiskAddress],
+    visit: F,
+    staged: Option<SectorBuf>,
+}
+
+impl<F: FnMut(usize, SectorView<'_>)> Requests for Reads<'_, F> {
+    fn request(&self, i: usize) -> (DiskAddress, SectorOp) {
+        (self.das[i], SectorOp::READ_ALL)
+    }
+
+    fn stage(&mut self, _: usize) -> &mut SectorBuf {
+        self.staged.insert(SectorBuf::zeroed())
+    }
+
+    // Reading a sound sector into nothing: the view is the transfer.
+    fn transfer(&mut self, _: usize, _: DiskAddress, _: &mut Sector) -> Result<(), DiskError> {
+        Ok(())
+    }
+
+    fn lend(&mut self, i: usize, view: SectorView<'_>) {
+        (self.visit)(i, view);
+    }
+}
+
+/// [`Disk::do_batch_write`]: `WRITE` from borrowed data words, each
+/// serviced sector lent in place after the write.
+struct Writes<'a, S, V> {
+    das: &'a [DiskAddress],
+    source: S,
+    visit: V,
+    staged: Option<SectorBuf>,
+}
+
+impl<'w, S, V> Requests for Writes<'_, S, V>
+where
+    S: FnMut(usize) -> WriteSource<'w>,
+    V: FnMut(usize, SectorView<'_>),
+{
+    fn request(&self, i: usize) -> (DiskAddress, SectorOp) {
+        (self.das[i], SectorOp::WRITE)
+    }
+
+    fn stage(&mut self, i: usize) -> &mut SectorBuf {
+        let ws = (self.source)(i);
+        self.staged.insert(SectorBuf {
+            header: ws.header,
+            label: ws.label,
+            data: *ws.data,
+        })
+    }
+
+    // The §3.3 checks run against the platter words in place (wildcards
+    // captured into locals), and only when both pass do the borrowed data
+    // words land — `apply` with `WRITE`, minus the staging copy.
+    fn transfer(
+        &mut self,
+        i: usize,
+        da: DiskAddress,
+        sector: &mut Sector,
+    ) -> Result<(), DiskError> {
+        let ws = (self.source)(i);
+        let (mut header, mut label) = (ws.header, ws.label);
+        check_part(&sector.header, &mut header, da, SectorPart::Header)?;
+        check_part(&sector.label, &mut label, da, SectorPart::Label)?;
+        sector.data = *ws.data;
+        Ok(())
+    }
+
+    fn lend(&mut self, i: usize, view: SectorView<'_>) {
+        (self.visit)(i, view);
+    }
+}
+
+/// One operation's or one batch's hold on the drive, split out of
+/// [`DiskDrive`] so servicing a sector touches no shared cell: the pack and
+/// arm, the hooks, a local stats accumulator, and the disk's own timeline.
+struct Head<'d> {
+    loaded: &'d mut Loaded,
+    clock: &'d SimClock,
+    trace: &'d Trace,
+    injector: &'d mut FaultInjector,
+    audit: Option<&'d Auditor>,
+    stats: DriveStats,
+    out: &'d mut DriveStats,
+    /// The disk's timeline for the current chain. Planned rotational waits
+    /// were derived on it, so it advances only by seek, wait and transfer.
+    now: SimTime,
+    /// Where the shared clock stood when the last visit returned: a
+    /// visitor may charge time to it (a page server sends its reply from
+    /// inside the visit), and that time overlaps the disk's.
+    lent: SimTime,
+}
+
+impl Head<'_> {
+    /// Charges one command set-up (issued once per [`Disk::do_op`] call
+    /// and once per chain — which is the entire point of batching, §4),
+    /// and starts the disk's timeline where the clock then stands.
+    #[inline]
+    fn command(&mut self) {
+        let overhead = self.loaded.timing.command_overhead;
+        self.clock.advance(overhead);
+        self.stats.command_time += overhead;
+        self.now = self.clock.now();
+        self.lent = self.now;
+    }
+
+    /// Emits the `disk.chain` trace for a finished chained run, if any.
+    /// `followers` counts the transfers that chained onto the run's head.
+    #[inline]
+    fn flush_chain(&self, followers: u64) {
+        if followers >= 1 {
+            self.trace.record_with(self.now, "disk.chain", || {
+                format!("{}-sector chained transfer", followers + 1)
+            });
+        }
+    }
+
+    /// Ends a chain: the clock reads the later of the disk's end and the
+    /// end of whatever the visits charged.
+    #[inline]
+    fn settle(&self) {
+        self.clock.set(self.now.max(self.lent));
+    }
+
+    /// Stores the accumulated statistics back into the drive.
+    #[inline]
+    fn finish(self) {
+        *self.out = self.stats;
+    }
+
+    /// The per-sector step: seek, rotational wait (`planned` by the batch
+    /// scheduler on this same timeline, or derived here), one sector
+    /// transfer, then the operation against the platter with media damage
+    /// and the §3.3 checks. Does *not* charge command set-up. `da` and `op`
+    /// are prechecked; `chs` is `da`'s decomposition.
+    ///
+    /// With the §3.3 auditor attached, a fault armed, or damaged media
+    /// under a value read, request `i`'s words are staged in a
+    /// [`SectorBuf`] for those hooks; everything else — timeline, stats,
+    /// trace and the lend — is the same code either way.
+    #[inline]
+    fn step<R: Requests + ?Sized>(
+        &mut self,
+        reqs: &mut R,
+        i: usize,
+        (da, op): (DiskAddress, SectorOp),
+        chs: Chs,
+        planned: Option<SimTime>,
+    ) -> Result<(), DiskError> {
+        let loaded = &mut *self.loaded;
+        let timing = &loaded.timing;
+        if chs.cylinder != loaded.cylinder {
+            let t = timing.seek(chs.cylinder.abs_diff(loaded.cylinder));
+            self.now += t;
+            self.stats.seeks += 1;
+            self.stats.seek_time += t;
+            let from = loaded.cylinder;
+            self.trace.record_with(self.now, "disk.seek", || {
+                format!("cyl {from} -> {} ({t})", chs.cylinder)
+            });
+            loaded.cylinder = chs.cylinder;
+        }
+        let wait = planned.unwrap_or_else(|| timing.rotational_wait(self.now, chs.sector));
+        debug_assert_eq!(
+            wait,
+            timing.rotational_wait(self.now, chs.sector),
+            "planned wait diverged from the drive's timeline"
+        );
+        // The transfer itself: one sector time regardless of actions.
+        self.now += wait + timing.sector_time;
+        let s = &mut self.stats;
+        s.rotational_wait += wait;
+        s.transfer_time += timing.sector_time;
+        s.ops += 1;
+        s.write_ops += u64::from(op.writes());
+        s.label_writes += u64::from(op.label == Action::Write);
+        s.sectors_read += u64::from(op.value == Action::Read);
+        s.sectors_written += u64::from(op.value == Action::Write);
+
+        // Unrecoverable media damage surfaces when the value part is read.
+        let damaged =
+            matches!(op.value, Action::Read | Action::Check) && loaded.pack.is_damaged(da);
+        let sector = loaded
+            .pack
+            .sector_mut(da)
+            .expect("address validated against geometry");
+        let result = if damaged || self.audit.is_some() || !self.injector.is_idle() {
+            let buf = reqs.stage(i);
+            let before = self.audit.map(|_| (sector.clone(), buf.clone()));
+            let (result, provenance) = if damaged {
+                (read_damaged(op, da, sector, buf), Provenance::Damaged)
+            } else if let Some(r) = self.injector.apply(da, op, sector, buf) {
+                // Torn or dropped writes transform the effective operation.
+                (r, Provenance::Injected)
+            } else {
+                (apply(op, da, sector, buf), Provenance::Clean)
+            };
+            if let (Some(aud), Some((sector_before, buf_before))) = (self.audit, before) {
+                let obs = Observed {
+                    da,
+                    op,
+                    sector_before: &sector_before,
+                    buf_before: &buf_before,
+                    sector_after: sector,
+                    buf_after: buf,
+                    result: &result,
+                    provenance,
+                    epoch: self.stats.write_ops,
+                };
+                aud.observe(&obs, self.trace, self.now);
+            }
+            result
+        } else {
+            reqs.transfer(i, da, sector)
+        };
+
+        let now = self.now;
+        match &result {
+            Ok(()) => self
+                .trace
+                .record_with(now, "disk.op", || format!("{op:?} at {da}")),
+            Err(DiskError::Check(c)) => {
+                self.stats.failed_checks += 1;
+                self.trace
+                    .record_with(now, "disk.check_fail", || c.to_string());
+            }
+            Err(DiskError::HardError { .. }) => {
+                self.trace.record_with(now, "disk.hard_error", || {
+                    format!("{da} value part unreadable")
+                });
+            }
+            Err(e @ DiskError::Transient { .. }) => {
+                self.stats.soft_errors += 1;
+                self.trace
+                    .record_with(now, "disk.retry.soft_error", || e.to_string());
+            }
+            Err(e) => self.trace.record_with(now, "disk.error", || e.to_string()),
+        }
+        if result.is_ok() {
+            // The controller and the caller overlap: the visit starts once
+            // the sector is in and the previous visit's charges are spent.
+            self.clock.set(now.max(self.lent));
+            reqs.lend(i, SectorView::new(sector));
+            self.lent = self.clock.now();
+        }
+        result
+    }
+}
+
+/// Validates an operation against the loaded pack's geometry (`None`: no
+/// pack) without charging any time.
+fn precheck(
+    geometry: Option<DiskGeometry>,
+    da: DiskAddress,
+    op: SectorOp,
+) -> Result<(), DiskError> {
+    op.validate()?;
+    if !geometry.ok_or(DiskError::NoPack)?.contains(da) {
+        return Err(DiskError::InvalidAddress(da));
+    }
+    Ok(())
+}
+
+/// A value read of a damaged sector: the header and label actions still
+/// complete (they precede the value on the platter), so the Scavenger can
+/// learn *which* page was lost before quarantining the sector, and the
+/// value part is a hard error.
+fn read_damaged(
+    op: SectorOp,
+    da: DiskAddress,
+    sector: &mut Sector,
+    buf: &mut SectorBuf,
+) -> Result<(), DiskError> {
+    let stripped = SectorOp {
+        value: Action::Read,
+        ..op
+    };
+    let mut scratch = buf.clone();
+    apply(stripped, da, sector, &mut scratch)?;
+    buf.header = scratch.header;
+    buf.label = scratch.label;
+    Err(DiskError::HardError {
+        da,
+        part: SectorPart::Value,
+    })
 }
 
 impl DiskDrive {
@@ -508,320 +835,79 @@ impl DiskDrive {
         self.pack.as_ref().map_or(0, |l| l.cylinder)
     }
 
-    /// Validates an operation without charging any time.
-    fn precheck(&self, da: DiskAddress, op: SectorOp) -> Result<(), DiskError> {
-        op.validate()?;
-        let loaded = self.pack.as_ref().ok_or(DiskError::NoPack)?;
-        if !loaded.pack.geometry().contains(da) {
-            return Err(DiskError::InvalidAddress(da));
-        }
-        Ok(())
-    }
-
-    /// Charges one command set-up (issued once per [`Disk::do_op`] call and
-    /// once per batch — which is the entire point of batching, §4).
-    fn charge_command(&mut self) {
-        let overhead = self
-            .pack
-            .as_ref()
-            .expect("prechecked: pack is loaded")
-            .timing
-            .command_overhead;
-        self.clock.advance(overhead);
-        self.stats.command_time += overhead;
-    }
-
-    /// Emits the `disk.chain` trace for a finished chained run, if any.
-    /// `followers` counts the transfers that chained onto the run's head.
-    fn flush_chain(&mut self, followers: u64) {
-        if followers >= 1 {
-            self.trace.record_with(self.clock.now(), "disk.chain", || {
-                format!("{}-sector chained transfer", followers + 1)
-            });
+    /// Takes hold of the loaded pack for one operation or batch.
+    fn head(&mut self) -> Head<'_> {
+        Head {
+            loaded: self.pack.as_mut().expect("prechecked: pack is loaded"),
+            clock: &self.clock,
+            trace: &self.trace,
+            injector: &mut self.injector,
+            audit: self.audit.as_ref(),
+            stats: self.stats,
+            out: &mut self.stats,
+            now: SimTime::ZERO,
+            lent: SimTime::ZERO,
         }
     }
 
-    /// Services one already-prechecked operation: seek, rotational wait,
-    /// transfer, check semantics. Does *not* charge command set-up.
+    /// The batch driver behind [`Disk::do_batch`], [`Disk::do_batch_read`]
+    /// and [`Disk::do_batch_write`]: requests `0..n` of `reqs`, prechecked,
+    /// planned (§4 command chaining under one command set-up) and serviced
+    /// in planned order through [`Head::step`].
     ///
-    /// `chs` is `da`'s geometry decomposition, computed by the caller —
-    /// [`Disk::do_batch`] already has it from planning, so recomputing it
-    /// per serviced sector (three divisions) would be pure overhead. The
-    /// caller has prechecked `da` and `op` ([`DiskDrive::precheck`]).
-    fn service(
-        &mut self,
-        da: DiskAddress,
-        chs: Chs,
-        op: SectorOp,
-        planned_wait: Option<SimTime>,
-        buf: &mut SectorBuf,
-    ) -> Result<(), DiskError> {
-        let loaded = self.pack.as_mut().ok_or(DiskError::NoPack)?;
-
-        // Simulated time is carried in a local and stored back once: the
-        // clock is shared (an atomic), and nothing else observes it between
-        // the start and end of one serviced operation, so three read-modify-
-        // write advances collapse into one load and one store.
-        let mut now = self.clock.now();
-
-        // Seek.
-        if chs.cylinder != loaded.cylinder {
-            let distance = chs.cylinder.abs_diff(loaded.cylinder);
-            let t = loaded.timing.seek(distance);
-            now += t;
-            self.stats.seeks += 1;
-            self.stats.seek_time += t;
-            let from = loaded.cylinder;
-            self.trace.record_with(now, "disk.seek", || {
-                format!("cyl {} -> {} ({t})", from, chs.cylinder)
-            });
-            loaded.cylinder = chs.cylinder;
-        }
-
-        // Rotational latency: the batch planner already derived the wait on
-        // the identical timeline, so a planned operation reuses it (checked
-        // in debug builds) instead of re-deriving it per sector.
-        let wait = match planned_wait {
-            Some(w) => {
-                debug_assert_eq!(
-                    w,
-                    loaded.timing.rotational_wait(now, chs.sector),
-                    "planned wait diverged from the drive's timeline"
-                );
-                w
-            }
-            None => loaded.timing.rotational_wait(now, chs.sector),
-        };
-        now += wait;
-        self.stats.rotational_wait += wait;
-
-        // The transfer itself: one sector time regardless of actions.
-        now += loaded.timing.sector_time;
-        self.clock.set(now);
-        self.stats.transfer_time += loaded.timing.sector_time;
-        self.stats.ops += 1;
-        if op.writes() {
-            self.stats.write_ops += 1;
-        }
-        if op.label == Action::Write {
-            self.stats.label_writes += 1;
-        }
-        if op.value == Action::Read {
-            self.stats.sectors_read += 1;
-        }
-        if op.value == Action::Write {
-            self.stats.sectors_written += 1;
-        }
-
-        // Unrecoverable media damage surfaces when the value part is read.
-        // The header and label actions still complete (they precede the
-        // value on the platter), so the Scavenger can learn *which* page
-        // was lost before quarantining the sector.
-        if loaded.pack.is_damaged(da) && matches!(op.value, Action::Read | Action::Check) {
-            let stripped = SectorOp {
-                header: op.header,
-                label: op.label,
-                value: Action::Read,
-            };
-            let sector = loaded
-                .pack
-                .sector_mut(da)
-                .expect("address validated against geometry");
-            let audit_pre = self.audit.is_some().then(|| (sector.clone(), buf.clone()));
-            let mut scratch = buf.clone();
-            let result = match apply(stripped, da, sector, &mut scratch) {
-                Err(e) => {
-                    if matches!(e, DiskError::Check(_)) {
-                        self.stats.failed_checks += 1;
-                    }
-                    Err(e)
-                }
-                Ok(()) => {
-                    buf.header = scratch.header;
-                    buf.label = scratch.label;
-                    self.trace.record(
-                        now,
-                        "disk.hard_error",
-                        format!("{da} value part unreadable"),
-                    );
-                    Err(DiskError::HardError {
-                        da,
-                        part: SectorPart::Value,
-                    })
-                }
-            };
-            if let Some((sector_before, buf_before)) = audit_pre {
-                let aud = self.audit.clone().expect("pre-state implies auditor");
-                aud.observe(
-                    &Observed {
-                        da,
-                        op,
-                        sector_before: &sector_before,
-                        buf_before: &buf_before,
-                        sector_after: sector,
-                        buf_after: buf,
-                        result: &result,
-                        provenance: Provenance::Damaged,
-                        epoch: self.stats.write_ops,
-                    },
-                    &self.trace,
-                    now,
-                );
-            }
-            return result;
-        }
-
-        // Fault injection may transform the effective operation (torn or
-        // dropped writes) before it reaches the medium.
-        let sector = loaded
-            .pack
-            .sector_mut(da)
-            .expect("address validated against geometry");
-        let audit_pre = self.audit.is_some().then(|| (sector.clone(), buf.clone()));
-        let (result, injected) = match self.injector.apply(da, op, sector, buf) {
-            Some(r) => (r, true),
-            None => (apply(op, da, sector, buf), false),
-        };
-        if let Some((sector_before, buf_before)) = audit_pre {
-            let aud = self.audit.clone().expect("pre-state implies auditor");
-            aud.observe(
-                &Observed {
-                    da,
-                    op,
-                    sector_before: &sector_before,
-                    buf_before: &buf_before,
-                    sector_after: sector,
-                    buf_after: buf,
-                    result: &result,
-                    provenance: if injected {
-                        Provenance::Injected
-                    } else {
-                        Provenance::Clean
-                    },
-                    epoch: self.stats.write_ops,
-                },
-                &self.trace,
-                now,
-            );
-        }
-
-        match &result {
-            Ok(()) => {
-                self.trace
-                    .record_with(now, "disk.op", || format!("{op:?} at {da}"));
-            }
-            Err(DiskError::Check(c)) => {
-                self.stats.failed_checks += 1;
-                self.trace
-                    .record_with(now, "disk.check_fail", || c.to_string());
-            }
-            Err(e @ DiskError::Transient { .. }) => {
-                self.stats.soft_errors += 1;
-                self.trace
-                    .record_with(now, "disk.retry.soft_error", || e.to_string());
-            }
-            Err(e) => {
-                self.trace.record_with(now, "disk.error", || e.to_string());
-            }
-        }
-        result
-    }
-
-    /// Chained batch read with zero-copy delivery: services every address
-    /// in `das` exactly like [`Disk::do_batch`] given [`SectorOp::READ_ALL`]
-    /// requests — same §4 command chaining and planning, same simulated
-    /// timing, same stats and trace — but lends each serviced sector to
-    /// `visit` as a borrowed [`SectorView`] instead of copying its 532
-    /// bytes into a caller-owned buffer. `visit` runs at most once per
-    /// request (never for a failed one), in service order, with the
-    /// request's index in `das`.
-    ///
-    /// The simulated controller still transfers the sector — one sector
-    /// time, full rotational accounting — only the host-side representation
-    /// changes. When the §3.3 auditor is attached or any fault is armed,
-    /// each sector goes through the buffered `DiskDrive::service` path
-    /// into private scratch instead (`visit` sees a view of that scratch),
-    /// so audit observations and fault semantics stay identical to
-    /// `do_batch`'s.
-    pub fn do_batch_read<F>(
-        &mut self,
-        das: &[DiskAddress],
-        mut visit: F,
-    ) -> Vec<Result<(), DiskError>>
-    where
-        F: FnMut(usize, SectorView<'_>),
-    {
-        let op = SectorOp::READ_ALL;
+    /// The schedule is computable up front only while the chain runs clean:
+    /// every serviced request costs seek + wait + one sector regardless of
+    /// its check outcome, but a *failure* halts command chaining at the
+    /// failing sector (the controller stops; software must restart). The
+    /// failing request keeps its slot; the unserved remainder is
+    /// rescheduled from the arm's new position under a fresh command
+    /// set-up. The result vector and all planning storage come out of the
+    /// free lists and the drive's own scratch, so a steady-state batch
+    /// costs no heap allocation (see `crate::pool`).
+    fn run<R: Requests + ?Sized>(&mut self, n: usize, reqs: &mut R) -> Vec<Result<(), DiskError>> {
         let mut results = pool::results_vec();
-        results.extend(das.iter().map(|_| Ok(())));
+        results.resize(n, Ok(()));
         let mut scratch = std::mem::take(&mut self.scratch);
+        // Malformed requests are rejected up front and never scheduled.
         scratch.pending.clear();
-        // Batch form of `precheck`: the op is a constant (`READ_ALL` always
-        // validates) and the pack lookup is loop-invariant, so per address
-        // only the range check remains.
-        debug_assert!(op.validate().is_ok());
-        match self.pack.as_ref() {
-            None => {
-                results.fill(Err(DiskError::NoPack));
-            }
-            Some(loaded) => {
-                let count = loaded.pack.geometry().sector_count();
-                for (i, &da) in das.iter().enumerate() {
-                    if !da.is_nil() && (da.0 as u32) < count {
-                        scratch.pending.push(i);
-                    } else {
-                        results[i] = Err(DiskError::InvalidAddress(da));
-                    }
-                }
+        let geometry = self.geometry().ok();
+        for (i, slot) in results.iter_mut().enumerate() {
+            let (da, op) = reqs.request(i);
+            match precheck(geometry, da, op) {
+                Ok(()) => scratch.pending.push(i),
+                Err(e) => *slot = Err(e),
             }
         }
         if scratch.pending.is_empty() {
             self.scratch = scratch;
             return results;
         }
-        let buffered = self.audit.is_some() || !self.injector.is_idle();
-        let loaded = self.pack.as_ref().expect("prechecked: pack is loaded");
-        let geometry = loaded.pack.geometry();
-        let timing = loaded.timing;
-
-        // One command set-up covers the whole chain (§4), and the
-        // halt-and-replan semantics on failure mirror `do_batch`: a hard
-        // error consumes its slot, stops the chain, and the unserved
-        // remainder reschedules from the arm's new position.
-        self.charge_command();
-        self.stats.batches += 1;
-        self.stats.batched_ops += scratch.pending.len() as u64;
+        let geometry = geometry.expect("prechecked: pack is loaded");
+        let mut head = self.head();
         let pending_len = scratch.pending.len();
-        self.trace.record_with(self.clock.now(), "disk.batch", || {
-            format!("{pending_len} requests")
-        });
-        let reads_before = self.stats.sectors_read;
+        head.command();
+        head.stats.batches += 1;
+        head.stats.batched_ops += pending_len as u64;
+        head.trace
+            .record_with(head.now, "disk.batch", || format!("{pending_len} requests"));
+        let (reads_before, writes_before) = (head.stats.sectors_read, head.stats.sectors_written);
         scratch.remaining.clear();
         scratch.remaining.extend_from_slice(&scratch.pending);
-        let mut scratch_buf = SectorBuf::zeroed();
-        let mut acc = ViewChainStats::default();
-        let mut chained_total = 0u64;
         let mut first_chain = true;
         while !scratch.remaining.is_empty() {
             if !first_chain {
-                self.charge_command();
+                head.command();
             }
             first_chain = false;
-            if scratch.remaining.len() == das.len() {
-                // Every request survived prechecks and none have been
-                // serviced yet: `remaining` is the identity, skip the gather.
-                geometry.to_chs_batch(das, &mut scratch.chs);
-            } else {
-                scratch.das.clear();
-                scratch
-                    .das
-                    .extend(scratch.remaining.iter().map(|&i| das[i]));
-                geometry.to_chs_batch(&scratch.das, &mut scratch.chs);
-            }
+            scratch.das.clear();
+            scratch
+                .das
+                .extend(scratch.remaining.iter().map(|&i| reqs.request(i).0));
+            geometry.to_chs_batch(&scratch.das, &mut scratch.chs);
             sched::plan_into(
-                timing,
-                self.current_cylinder(),
-                self.clock.now(),
+                head.loaded.timing,
+                head.loaded.cylinder,
+                head.now,
                 &scratch.chs,
                 &mut scratch.plan,
                 &mut scratch.order,
@@ -829,127 +915,28 @@ impl DiskDrive {
             );
             let mut followers = 0u64;
             let mut halted_at = None;
-            if buffered {
-                for (k, (&j, &wait)) in scratch.order.iter().zip(scratch.waits.iter()).enumerate() {
-                    let i = scratch.remaining[j];
-                    let da = das[i];
-                    let seeks_before = self.stats.seeks;
-                    let wait_before = self.stats.rotational_wait;
-                    let r = self.service(da, scratch.chs[j], op, Some(wait), &mut scratch_buf);
-                    let chained = k > 0
-                        && self.stats.seeks == seeks_before
-                        && self.stats.rotational_wait == wait_before;
-                    if r.is_ok() {
-                        visit(i, SectorView::of_buf(&scratch_buf));
-                    }
-                    let failed = r.is_err();
-                    results[i] = r;
-                    if chained {
-                        followers += 1;
-                        chained_total += 1;
-                    } else {
-                        self.flush_chain(followers);
-                        followers = 0;
-                    }
-                    if failed {
-                        halted_at = Some(k);
-                        break;
-                    }
+            for (k, (&j, &wait)) in scratch.order.iter().zip(scratch.waits.iter()).enumerate() {
+                let i = scratch.remaining[j];
+                let seeks_before = head.stats.seeks;
+                let r = head.step(reqs, i, reqs.request(i), scratch.chs[j], Some(wait));
+                if k > 0 && head.stats.seeks == seeks_before && wait == SimTime::ZERO {
+                    followers += 1;
+                    head.stats.chained_transfers += 1;
+                } else {
+                    head.flush_chain(followers);
+                    followers = 0;
                 }
-                self.flush_chain(followers);
-            } else {
-                // The zero-copy arm: `service`'s timeline, stats and trace
-                // events exactly (the parity tests pin all three), with the
-                // per-sector state split out of `self` once per chain — the
-                // pack and arm position, the trace handle, and the clock in
-                // a local — so servicing a sector touches no shared cells
-                // and lends the platter sector to `visit` in place of the
-                // 532-word copy out.
-                let loaded = self.pack.as_mut().expect("prechecked: pack is loaded");
-                let trace = &self.trace;
-                let sector_time = loaded.timing.sector_time;
-                let mut now = self.clock.now();
-                for (k, (&j, &wait)) in scratch.order.iter().zip(scratch.waits.iter()).enumerate() {
-                    let i = scratch.remaining[j];
-                    let da = das[i];
-                    let chs = scratch.chs[j];
-                    let mut seeked = false;
-                    if chs.cylinder != loaded.cylinder {
-                        seeked = true;
-                        let distance = chs.cylinder.abs_diff(loaded.cylinder);
-                        let t = loaded.timing.seek(distance);
-                        now += t;
-                        acc.seeks += 1;
-                        acc.seek_time += t;
-                        let from = loaded.cylinder;
-                        trace.record_with(now, "disk.seek", || {
-                            format!("cyl {} -> {} ({t})", from, chs.cylinder)
-                        });
-                        loaded.cylinder = chs.cylinder;
-                    }
-                    debug_assert_eq!(
-                        wait,
-                        loaded.timing.rotational_wait(now, chs.sector),
-                        "planned wait diverged from the drive's timeline"
-                    );
-                    now += wait;
-                    acc.rotational_wait += wait;
-                    now += sector_time;
-                    acc.transfer_time += sector_time;
-                    acc.ops += 1;
-                    acc.sectors_read += 1;
-                    let r = if loaded.pack.is_damaged(da) {
-                        // READ_ALL against damaged media: header and label
-                        // actions complete, the value part is unreadable —
-                        // the same surface `service` reports.
-                        trace.record(
-                            now,
-                            "disk.hard_error",
-                            format!("{da} value part unreadable"),
-                        );
-                        Err(DiskError::HardError {
-                            da,
-                            part: SectorPart::Value,
-                        })
-                    } else {
-                        let sector = loaded
-                            .pack
-                            .sector(da)
-                            .expect("address validated against geometry");
-                        trace.record_with(now, "disk.op", || {
-                            format!("{:?} at {da}", SectorOp::READ_ALL)
-                        });
-                        visit(i, SectorView::new(sector));
-                        Ok(())
-                    };
-                    let failed = r.is_err();
-                    results[i] = r;
-                    if k > 0 && !seeked && wait == SimTime::ZERO {
-                        followers += 1;
-                        chained_total += 1;
-                    } else {
-                        if followers >= 1 {
-                            let f = followers;
-                            trace.record_with(now, "disk.chain", || {
-                                format!("{}-sector chained transfer", f + 1)
-                            });
-                        }
-                        followers = 0;
-                    }
-                    if failed {
-                        halted_at = Some(k);
-                        break;
-                    }
+                let failed = r.is_err();
+                results[i] = r;
+                if failed {
+                    halted_at = Some(k);
+                    break;
                 }
-                if followers >= 1 {
-                    let f = followers;
-                    trace.record_with(now, "disk.chain", || {
-                        format!("{}-sector chained transfer", f + 1)
-                    });
-                }
-                self.clock.set(now);
             }
+            head.flush_chain(followers);
+            head.settle();
             match halted_at {
+                // Requests the halted chain never reached go around again.
                 Some(k) => {
                     scratch.next_remaining.clear();
                     scratch
@@ -960,16 +947,13 @@ impl DiskDrive {
                 None => scratch.remaining.clear(),
             }
         }
-        acc.flush_into(&mut self.stats);
-        self.stats.chained_transfers += chained_total;
-        self.trace
-            .record_with(self.clock.now(), "disk.io.batch", || {
-                format!(
-                    "{} serviced ({} read, 0 written)",
-                    pending_len,
-                    self.stats.sectors_read - reads_before,
-                )
+        let read = head.stats.sectors_read - reads_before;
+        let written = head.stats.sectors_written - writes_before;
+        head.trace
+            .record_with(head.clock.now(), "disk.io.batch", || {
+                format!("{pending_len} serviced ({read} read, {written} written)")
             });
+        head.finish();
         self.scratch = scratch;
         results
     }
@@ -978,15 +962,6 @@ impl DiskDrive {
 impl Disk for DiskDrive {
     fn geometry(&self) -> Result<DiskGeometry, DiskError> {
         Ok(self.pack.as_ref().ok_or(DiskError::NoPack)?.pack.geometry())
-    }
-
-    // The genuinely zero-copy chain (the inherent method predates the trait
-    // hook; generic callers now reach it through the trait).
-    fn do_batch_read<F>(&mut self, das: &[DiskAddress], visit: F) -> Vec<Result<(), DiskError>>
-    where
-        F: FnMut(usize, SectorView<'_>),
-    {
-        DiskDrive::do_batch_read(self, das, visit)
     }
 
     // Counted when the write is *attempted* (before the check), so even an
@@ -1010,388 +985,57 @@ impl Disk for DiskDrive {
         op: SectorOp,
         buf: &mut SectorBuf,
     ) -> Result<(), DiskError> {
-        self.precheck(da, op)?;
-        let chs = self
-            .pack
-            .as_ref()
-            .expect("prechecked: pack is loaded")
-            .pack
-            .geometry()
-            .to_chs(da);
-        self.charge_command();
-        self.service(da, chs, op, None, buf)
+        precheck(self.geometry().ok(), da, op)?;
+        let mut head = self.head();
+        let chs = head.loaded.pack.geometry().to_chs(da);
+        head.command();
+        let result = head.step(&mut One { da, op, buf }, 0, (da, op), chs, None);
+        head.settle();
+        head.finish();
+        result
     }
 
     fn do_batch(&mut self, batch: &mut [BatchRequest]) -> Vec<Result<(), DiskError>> {
-        // The result vector and all planning storage come out of per-thread
-        // free lists / the drive's own scratch, so a steady-state batch
-        // costs no heap allocation (see `crate::pool`).
-        let mut results = pool::results_vec();
-        results.extend(batch.iter().map(|_| Ok(())));
-        let mut scratch = std::mem::take(&mut self.scratch);
-        // Malformed requests are rejected up front and never scheduled.
-        scratch.pending.clear();
-        for (i, req) in batch.iter().enumerate() {
-            match self.precheck(req.da, req.op) {
-                Ok(()) => scratch.pending.push(i),
-                Err(e) => results[i] = Err(e),
-            }
-        }
-        if scratch.pending.is_empty() {
-            self.scratch = scratch;
-            return results;
-        }
-        let loaded = self.pack.as_ref().expect("prechecked: pack is loaded");
-        let geometry = loaded.pack.geometry();
-        let timing = loaded.timing;
-
-        // One command set-up covers the whole chain (§4).
-        self.charge_command();
-        self.stats.batches += 1;
-        self.stats.batched_ops += scratch.pending.len() as u64;
-        let pending_len = scratch.pending.len();
-        self.trace.record_with(self.clock.now(), "disk.batch", || {
-            format!("{pending_len} requests")
-        });
-
-        // The schedule is computable up front only while the chain runs
-        // clean: every serviced request costs seek + wait + one sector
-        // regardless of its check outcome, but a *failure* halts command
-        // chaining at the failing sector (the controller stops; software
-        // must restart). The failing request keeps its slot; the unserved
-        // remainder is rescheduled from the arm's new position under a
-        // fresh command set-up.
-        let reads_before = self.stats.sectors_read;
-        let writes_before = self.stats.sectors_written;
-        scratch.remaining.clear();
-        scratch.remaining.extend_from_slice(&scratch.pending);
-        let mut first_chain = true;
-        while !scratch.remaining.is_empty() {
-            if !first_chain {
-                self.charge_command();
-            }
-            first_chain = false;
-            scratch.das.clear();
-            scratch
-                .das
-                .extend(scratch.remaining.iter().map(|&i| batch[i].da));
-            geometry.to_chs_batch(&scratch.das, &mut scratch.chs);
-            sched::plan_into(
-                timing,
-                self.current_cylinder(),
-                self.clock.now(),
-                &scratch.chs,
-                &mut scratch.plan,
-                &mut scratch.order,
-                &mut scratch.waits,
-            );
-            let mut followers = 0u64;
-            let mut halted_at = None;
-            for (k, &j) in scratch.order.iter().enumerate() {
-                let i = scratch.remaining[j];
-                let seeks_before = self.stats.seeks;
-                let wait_before = self.stats.rotational_wait;
-                let req = &mut batch[i];
-                let (da, op) = (req.da, req.op);
-                results[i] =
-                    self.service(da, scratch.chs[j], op, Some(scratch.waits[k]), &mut req.buf);
-                let chained = k > 0
-                    && self.stats.seeks == seeks_before
-                    && self.stats.rotational_wait == wait_before;
-                if chained {
-                    followers += 1;
-                    self.stats.chained_transfers += 1;
-                } else {
-                    self.flush_chain(followers);
-                    followers = 0;
-                }
-                if results[i].is_err() {
-                    halted_at = Some(k);
-                    break;
-                }
-            }
-            self.flush_chain(followers);
-            match halted_at {
-                // Requests the halted chain never reached go around again.
-                Some(k) => {
-                    scratch.next_remaining.clear();
-                    scratch
-                        .next_remaining
-                        .extend(scratch.order[k + 1..].iter().map(|&j| scratch.remaining[j]));
-                    std::mem::swap(&mut scratch.remaining, &mut scratch.next_remaining);
-                }
-                None => scratch.remaining.clear(),
-            }
-        }
-        self.trace
-            .record_with(self.clock.now(), "disk.io.batch", || {
-                format!(
-                    "{} serviced ({} read, {} written)",
-                    pending_len,
-                    self.stats.sectors_read - reads_before,
-                    self.stats.sectors_written - writes_before,
-                )
-            });
-        self.scratch = scratch;
-        results
+        self.run(batch.len(), batch)
     }
 
-    /// Chained batch write with borrowed buffers: services every address
-    /// exactly like [`Disk::do_batch`] given [`SectorOp::WRITE`] requests —
-    /// same §4 command chaining and planning, same simulated timing, same
-    /// stats and traces (the parity tests pin all of them) — but the data
-    /// words come straight from `source`'s borrow and the check patterns
-    /// are matched against the platter sector *in place*, so nothing is
-    /// staged through a 265-word buffer. A passed check's captured label is
-    /// bit-identical to the sector's own label (every non-wildcard word
-    /// matched, every wildcard captured the disk word), so lending the
-    /// post-write sector to `visit` shows exactly what the buffered form
-    /// copies out.
-    ///
-    /// When the §3.3 auditor is attached or any fault is armed, each sector
-    /// goes through the buffered `DiskDrive::service` path into private
-    /// scratch instead, so audit observations and fault semantics stay
-    /// identical to `do_batch`'s.
+    /// The zero-copy chain: each serviced sector is lent to `visit` in
+    /// place, in service order, audited and fault-injected runs included.
+    fn do_batch_read<F>(&mut self, das: &[DiskAddress], visit: F) -> Vec<Result<(), DiskError>>
+    where
+        F: FnMut(usize, SectorView<'_>),
+    {
+        let mut reads = Reads {
+            das,
+            visit,
+            staged: None,
+        };
+        self.run(das.len(), &mut reads)
+    }
+
+    /// The zero-copy chain: the data words come straight from `source`'s
+    /// borrow and the check patterns are matched against the platter
+    /// sector in place. A passed check's captured label is bit-identical
+    /// to the sector's own label (every non-wildcard word matched, every
+    /// wildcard captured the disk word), so lending the post-write sector
+    /// to `visit` shows exactly what the buffered form copies out.
     fn do_batch_write<'a, S, V>(
         &mut self,
         das: &[DiskAddress],
-        mut source: S,
-        mut visit: V,
+        source: S,
+        visit: V,
     ) -> Vec<Result<(), DiskError>>
     where
         S: FnMut(usize) -> WriteSource<'a>,
         V: FnMut(usize, SectorView<'_>),
     {
-        let op = SectorOp::WRITE;
-        let mut results = pool::results_vec();
-        results.extend(das.iter().map(|_| Ok(())));
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.pending.clear();
-        // Batch form of `precheck`: the op is a constant (`WRITE` always
-        // validates) and the pack lookup is loop-invariant, so per address
-        // only the range check remains.
-        debug_assert!(op.validate().is_ok());
-        match self.pack.as_ref() {
-            None => {
-                results.fill(Err(DiskError::NoPack));
-            }
-            Some(loaded) => {
-                let count = loaded.pack.geometry().sector_count();
-                for (i, &da) in das.iter().enumerate() {
-                    if !da.is_nil() && (da.0 as u32) < count {
-                        scratch.pending.push(i);
-                    } else {
-                        results[i] = Err(DiskError::InvalidAddress(da));
-                    }
-                }
-            }
-        }
-        if scratch.pending.is_empty() {
-            self.scratch = scratch;
-            return results;
-        }
-        let buffered = self.audit.is_some() || !self.injector.is_idle();
-        let loaded = self.pack.as_ref().expect("prechecked: pack is loaded");
-        let geometry = loaded.pack.geometry();
-        let timing = loaded.timing;
-
-        // One command set-up covers the whole chain (§4), and the
-        // halt-and-replan semantics on failure mirror `do_batch`: a failed
-        // check consumes its slot, stops the chain, and the unserved
-        // remainder reschedules from the arm's new position.
-        self.charge_command();
-        self.stats.batches += 1;
-        self.stats.batched_ops += scratch.pending.len() as u64;
-        let pending_len = scratch.pending.len();
-        self.trace.record_with(self.clock.now(), "disk.batch", || {
-            format!("{pending_len} requests")
-        });
-        let writes_before = self.stats.sectors_written;
-        scratch.remaining.clear();
-        scratch.remaining.extend_from_slice(&scratch.pending);
-        let mut scratch_buf = SectorBuf::zeroed();
-        let mut acc = ViewChainStats::default();
-        let mut chained_total = 0u64;
-        let mut first_chain = true;
-        while !scratch.remaining.is_empty() {
-            if !first_chain {
-                self.charge_command();
-            }
-            first_chain = false;
-            if scratch.remaining.len() == das.len() {
-                // Every request survived prechecks and none have been
-                // serviced yet: `remaining` is the identity, skip the gather.
-                geometry.to_chs_batch(das, &mut scratch.chs);
-            } else {
-                scratch.das.clear();
-                scratch
-                    .das
-                    .extend(scratch.remaining.iter().map(|&i| das[i]));
-                geometry.to_chs_batch(&scratch.das, &mut scratch.chs);
-            }
-            sched::plan_into(
-                timing,
-                self.current_cylinder(),
-                self.clock.now(),
-                &scratch.chs,
-                &mut scratch.plan,
-                &mut scratch.order,
-                &mut scratch.waits,
-            );
-            let mut followers = 0u64;
-            let mut halted_at = None;
-            if buffered {
-                for (k, (&j, &wait)) in scratch.order.iter().zip(scratch.waits.iter()).enumerate() {
-                    let i = scratch.remaining[j];
-                    let da = das[i];
-                    let ws = source(i);
-                    scratch_buf.header = ws.header;
-                    scratch_buf.label = ws.label;
-                    scratch_buf.data = *ws.data;
-                    let seeks_before = self.stats.seeks;
-                    let wait_before = self.stats.rotational_wait;
-                    let r = self.service(da, scratch.chs[j], op, Some(wait), &mut scratch_buf);
-                    let chained = k > 0
-                        && self.stats.seeks == seeks_before
-                        && self.stats.rotational_wait == wait_before;
-                    if r.is_ok() {
-                        visit(i, SectorView::of_buf(&scratch_buf));
-                    }
-                    let failed = r.is_err();
-                    results[i] = r;
-                    if chained {
-                        followers += 1;
-                        chained_total += 1;
-                    } else {
-                        self.flush_chain(followers);
-                        followers = 0;
-                    }
-                    if failed {
-                        halted_at = Some(k);
-                        break;
-                    }
-                }
-                self.flush_chain(followers);
-            } else {
-                // The zero-copy arm: `service`'s timeline, stats and trace
-                // events exactly, with the per-sector state split out of
-                // `self` once per chain. The §3.3 discipline runs in place:
-                // header and label patterns are matched against the platter
-                // words (wildcards captured into locals), and only when both
-                // pass do the borrowed data words land on the sector. WRITE
-                // ignores media damage — the value part is never read — so
-                // the only possible failure here is a check mismatch, just
-                // as in `service`.
-                let loaded = self.pack.as_mut().expect("prechecked: pack is loaded");
-                let trace = &self.trace;
-                let sector_time = loaded.timing.sector_time;
-                let mut now = self.clock.now();
-                for (k, (&j, &wait)) in scratch.order.iter().zip(scratch.waits.iter()).enumerate() {
-                    let i = scratch.remaining[j];
-                    let da = das[i];
-                    let chs = scratch.chs[j];
-                    let mut seeked = false;
-                    if chs.cylinder != loaded.cylinder {
-                        seeked = true;
-                        let distance = chs.cylinder.abs_diff(loaded.cylinder);
-                        let t = loaded.timing.seek(distance);
-                        now += t;
-                        acc.seeks += 1;
-                        acc.seek_time += t;
-                        let from = loaded.cylinder;
-                        trace.record_with(now, "disk.seek", || {
-                            format!("cyl {} -> {} ({t})", from, chs.cylinder)
-                        });
-                        loaded.cylinder = chs.cylinder;
-                    }
-                    debug_assert_eq!(
-                        wait,
-                        loaded.timing.rotational_wait(now, chs.sector),
-                        "planned wait diverged from the drive's timeline"
-                    );
-                    now += wait;
-                    acc.rotational_wait += wait;
-                    now += sector_time;
-                    acc.transfer_time += sector_time;
-                    acc.ops += 1;
-                    acc.write_ops += 1;
-                    acc.sectors_written += 1;
-                    let sector = loaded
-                        .pack
-                        .sector_mut(da)
-                        .expect("address validated against geometry");
-                    let ws = source(i);
-                    let mut header = ws.header;
-                    let mut label = ws.label;
-                    let checked = check_part(&sector.header, &mut header, da, SectorPart::Header)
-                        .and_then(|()| {
-                            check_part(&sector.label, &mut label, da, SectorPart::Label)
-                        });
-                    let r = match checked {
-                        Ok(()) => {
-                            sector.data = *ws.data;
-                            trace.record_with(now, "disk.op", || {
-                                format!("{:?} at {da}", SectorOp::WRITE)
-                            });
-                            visit(i, SectorView::new(sector));
-                            Ok(())
-                        }
-                        Err(c) => {
-                            acc.failed_checks += 1;
-                            trace.record_with(now, "disk.check_fail", || c.to_string());
-                            Err(DiskError::Check(c))
-                        }
-                    };
-                    let failed = r.is_err();
-                    results[i] = r;
-                    if k > 0 && !seeked && wait == SimTime::ZERO {
-                        followers += 1;
-                        chained_total += 1;
-                    } else {
-                        if followers >= 1 {
-                            let f = followers;
-                            trace.record_with(now, "disk.chain", || {
-                                format!("{}-sector chained transfer", f + 1)
-                            });
-                        }
-                        followers = 0;
-                    }
-                    if failed {
-                        halted_at = Some(k);
-                        break;
-                    }
-                }
-                if followers >= 1 {
-                    let f = followers;
-                    trace.record_with(now, "disk.chain", || {
-                        format!("{}-sector chained transfer", f + 1)
-                    });
-                }
-                self.clock.set(now);
-            }
-            match halted_at {
-                Some(k) => {
-                    scratch.next_remaining.clear();
-                    scratch
-                        .next_remaining
-                        .extend(scratch.order[k + 1..].iter().map(|&j| scratch.remaining[j]));
-                    std::mem::swap(&mut scratch.remaining, &mut scratch.next_remaining);
-                }
-                None => scratch.remaining.clear(),
-            }
-        }
-        acc.flush_into(&mut self.stats);
-        self.stats.chained_transfers += chained_total;
-        self.trace
-            .record_with(self.clock.now(), "disk.io.batch", || {
-                format!(
-                    "{} serviced (0 read, {} written)",
-                    pending_len,
-                    self.stats.sectors_written - writes_before,
-                )
-            });
-        self.scratch = scratch;
-        results
+        let mut writes = Writes {
+            das,
+            source,
+            visit,
+            staged: None,
+        };
+        self.run(das.len(), &mut writes)
     }
 
     fn io_stats(&self) -> DriveStats {
@@ -1863,8 +1507,8 @@ mod tests {
             .iter()
             .map(|&da| BatchRequest::new(da, SectorOp::READ_ALL, SectorBuf::zeroed()))
             .collect();
-        let buffered_results = buffered.do_batch(&mut batch);
-        let buffered_elapsed = buffered.clock().now() - t0;
+        let batch_results = buffered.do_batch(&mut batch);
+        let batch_elapsed = buffered.clock().now() - t0;
 
         let mut viewed = drive();
         viewed.trace().set_enabled(true);
@@ -1877,15 +1521,15 @@ mod tests {
         });
         let view_elapsed = viewed.clock().now() - t0;
 
-        assert_eq!(buffered_elapsed, view_elapsed);
-        assert_eq!(buffered_results, view_results);
+        assert_eq!(batch_elapsed, view_elapsed);
+        assert_eq!(batch_results, view_results);
         assert_eq!(buffered.stats(), viewed.stats());
         assert_eq!(buffered.trace().events(), viewed.trace().events());
         // Every successful request was visited exactly once, with the same
         // words the buffered form copied out.
         assert_eq!(seen.len(), das.len() - 2);
         for &(i, header, word0) in &seen {
-            assert!(buffered_results[i].is_ok());
+            assert!(batch_results[i].is_ok());
             assert_eq!(header, batch[i].buf.header);
             assert_eq!(word0, batch[i].buf.data[0]);
         }
@@ -1896,8 +1540,8 @@ mod tests {
         }
     }
 
-    /// With the auditor attached the view read routes through the buffered
-    /// `service` path — timing and stats must still match `do_batch`, and
+    /// With the auditor attached the view read stages each sector for the
+    /// hook — timing and stats must still match `do_batch`, and
     /// the auditor must observe a §3.3-clean run.
     #[test]
     fn batch_read_views_under_audit_match_and_stay_clean() {
@@ -1911,7 +1555,7 @@ mod tests {
             .map(|&da| BatchRequest::new(da, SectorOp::READ_ALL, SectorBuf::zeroed()))
             .collect();
         buffered.do_batch(&mut batch);
-        let buffered_elapsed = buffered.clock().now() - t0;
+        let batch_elapsed = buffered.clock().now() - t0;
 
         let mut viewed = drive();
         let auditor = viewed.enable_audit();
@@ -1923,7 +1567,7 @@ mod tests {
         });
         let view_elapsed = viewed.clock().now() - t0;
 
-        assert_eq!(buffered_elapsed, view_elapsed);
+        assert_eq!(batch_elapsed, view_elapsed);
         assert_eq!(buffered.stats(), viewed.stats());
         assert_eq!(visits, das.len());
         assert!(results.iter().all(Result::is_ok));
@@ -1976,8 +1620,8 @@ mod tests {
                 BatchRequest::new(da, SectorOp::WRITE, buf)
             })
             .collect();
-        let buffered_results = buffered.do_batch(&mut batch);
-        let buffered_elapsed = buffered.clock().now() - t0;
+        let batch_results = buffered.do_batch(&mut batch);
+        let batch_elapsed = buffered.clock().now() - t0;
 
         let mut viewed = drive();
         viewed.trace().set_enabled(true);
@@ -1994,8 +1638,8 @@ mod tests {
         );
         let view_elapsed = viewed.clock().now() - t0;
 
-        assert_eq!(buffered_elapsed, view_elapsed);
-        assert_eq!(buffered_results, view_results);
+        assert_eq!(batch_elapsed, view_elapsed);
+        assert_eq!(batch_results, view_results);
         assert_eq!(buffered.stats(), viewed.stats());
         assert_eq!(buffered.trace().events(), viewed.trace().events());
         assert!(matches!(view_results[70], Err(DiskError::Check(_))));
@@ -2004,7 +1648,7 @@ mod tests {
         // words the buffered form captured into its staging buffer.
         assert_eq!(seen.len(), das.len() - 2);
         for &(i, header, label, word0) in &seen {
-            assert!(buffered_results[i].is_ok());
+            assert!(batch_results[i].is_ok());
             assert_eq!(header, batch[i].buf.header);
             assert_eq!(label, batch[i].buf.label);
             assert_eq!(word0, batch[i].buf.data[0]);
@@ -2019,8 +1663,8 @@ mod tests {
         }
     }
 
-    /// With the auditor attached the view write routes through the buffered
-    /// `service` path — timing and stats must still match `do_batch`, and
+    /// With the auditor attached the view write stages each sector for the
+    /// hook — timing and stats must still match `do_batch`, and
     /// the auditor must observe a §3.3-clean run.
     #[test]
     fn batch_write_views_under_audit_match_and_stay_clean() {
@@ -2042,7 +1686,7 @@ mod tests {
             })
             .collect();
         buffered.do_batch(&mut batch);
-        let buffered_elapsed = buffered.clock().now() - t0;
+        let batch_elapsed = buffered.clock().now() - t0;
 
         let mut viewed = drive();
         let auditor = viewed.enable_audit();
@@ -2062,14 +1706,14 @@ mod tests {
         );
         let view_elapsed = viewed.clock().now() - t0;
 
-        assert_eq!(buffered_elapsed, view_elapsed);
+        assert_eq!(batch_elapsed, view_elapsed);
         assert_eq!(buffered.stats(), viewed.stats());
         assert_eq!(visits, das.len());
         assert!(results.iter().all(Result::is_ok));
         assert!(auditor.violations().is_empty());
     }
 
-    /// An armed fault injector forces the buffered fallback: the injected
+    /// An armed fault injector sees a staged buffer: the injected
     /// fault's semantics (here a silently dropped write) must land exactly
     /// as they do on the `do_batch` path.
     #[test]
@@ -2093,8 +1737,8 @@ mod tests {
                 BatchRequest::new(da, SectorOp::WRITE, buf)
             })
             .collect();
-        let buffered_results = buffered.do_batch(&mut batch);
-        let buffered_elapsed = buffered.clock().now() - t0;
+        let batch_results = buffered.do_batch(&mut batch);
+        let batch_elapsed = buffered.clock().now() - t0;
 
         let mut viewed = drive();
         viewed
@@ -2112,8 +1756,8 @@ mod tests {
         );
         let view_elapsed = viewed.clock().now() - t0;
 
-        assert_eq!(buffered_elapsed, view_elapsed);
-        assert_eq!(buffered_results, view_results);
+        assert_eq!(batch_elapsed, view_elapsed);
+        assert_eq!(batch_results, view_results);
         assert_eq!(buffered.stats(), viewed.stats());
         for &da in &das {
             let b = buffered.pack().unwrap().sector(da).unwrap();
@@ -2152,5 +1796,112 @@ mod tests {
         assert!(matches!(results[1], Err(DiskError::InvalidAddress(_))));
         assert!(results[2].is_ok());
         assert_eq!(d.pack().unwrap().sector(DiskAddress(0)).unwrap().data[0], 9);
+    }
+
+    /// The visitor timing rule. A visitor that charges the shared clock
+    /// per sector (as `Ether::send` charges wire time for a reply sent from
+    /// inside a page-server visit) overlaps the controller: each visit
+    /// starts at the later of its sector's completion and the end of the
+    /// previous visit's charges, a halted chain replans from the later of
+    /// the disk's end and the visits' end, and so does the batch's final
+    /// clock. Plain, audited and injector-armed drives run the same step,
+    /// so all three agree to the nanosecond and the trace event.
+    #[test]
+    fn visitor_charges_overlap_the_chain_in_every_mode() {
+        let run = |mode: &str| {
+            let mut d = drive();
+            match mode {
+                "plain" => {}
+                "audit" => {
+                    d.enable_audit();
+                }
+                "injector" => {
+                    // Armed, so the hooks run, but never reached by a read
+                    // of this batch.
+                    d.injector_mut()
+                        .arm(DiskAddress(100), crate::inject::FaultKind::DropWrite);
+                }
+                _ => unreachable!(),
+            }
+            d.pack_mut().unwrap().damage(DiskAddress(5));
+            d.trace().set_enabled(true);
+            let t = d.timing().unwrap();
+            d.clock().advance(t.rotational_wait(d.clock().now(), 0));
+            let start = d.clock().now();
+            let charge = SimTime::from_nanos(t.sector_time.as_nanos() * 3 / 2);
+            let (clock, trace) = (d.clock().clone(), d.trace().clone());
+            let das: Vec<DiskAddress> = (1..=8).map(DiskAddress).collect();
+            let mut visits = Vec::new();
+            let results = d.do_batch_read(&das, |i, v| {
+                visits.push((das[i].0, clock.now(), v.header()[1]));
+                clock.advance(charge);
+                trace.record(clock.now(), "net.sent", format!("reply {i}"));
+            });
+            let events: Vec<(SimTime, &str)> =
+                d.trace().events().iter().map(|e| (e.at, e.tag)).collect();
+            let violations = d.audit_violations();
+            (
+                start,
+                results,
+                visits,
+                d.clock().now(),
+                events,
+                d.stats(),
+                violations,
+            )
+        };
+
+        let (start, results, visits, end, events, stats, violations) = run("plain");
+        // The model the drive must follow, derived from the timing model
+        // alone: sectors 1..=5 chain from slot 1; damaged sector 5 halts
+        // the chain; {6, 7, 8} replan under a fresh command set-up.
+        let t = drive().timing().unwrap();
+        let charge = SimTime::from_nanos(t.sector_time.as_nanos() * 3 / 2);
+        let mut disk = start + t.command_overhead;
+        let mut lent = disk;
+        let mut want_visits = Vec::new();
+        let mut want_events = vec![(disk, "disk.batch")];
+        for s in 1..=8u16 {
+            if s == 6 {
+                want_events.push((disk, "disk.chain"));
+                disk = disk.max(lent) + t.command_overhead;
+                lent = disk;
+            }
+            disk += t.rotational_wait(disk, s) + t.sector_time;
+            if s == 5 {
+                want_events.push((disk, "disk.hard_error"));
+                continue;
+            }
+            want_events.push((disk, "disk.op"));
+            let at = disk.max(lent);
+            want_visits.push((s, at, s));
+            lent = at + charge;
+            want_events.push((lent, "net.sent"));
+        }
+        want_events.push((disk, "disk.chain"));
+        let want_end = disk.max(lent);
+        want_events.push((want_end, "disk.io.batch"));
+
+        assert_eq!(visits, want_visits);
+        assert_eq!(end, want_end);
+        assert_eq!(events, want_events);
+        assert!(matches!(results[4], Err(DiskError::HardError { .. })));
+        assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 7);
+        // The visits fell behind the disk, so the charges set the pace.
+        assert!(want_end > disk);
+        assert_eq!(stats.chained_transfers, 6);
+        assert_eq!(stats.command_time, t.command_overhead.scaled(2));
+        assert_eq!(violations, 0);
+
+        for mode in ["audit", "injector"] {
+            let other = run(mode);
+            assert_eq!(other.0, start, "{mode}");
+            assert_eq!(other.1, results, "{mode}");
+            assert_eq!(other.2, visits, "{mode}");
+            assert_eq!(other.3, end, "{mode}");
+            assert_eq!(other.4, events, "{mode}");
+            assert_eq!(other.5, stats, "{mode}");
+            assert_eq!(other.6, 0, "{mode}");
+        }
     }
 }

@@ -105,6 +105,7 @@ impl DiskPack {
     }
 
     /// Mutable access to a sector.
+    #[inline]
     pub fn sector_mut(&mut self, da: DiskAddress) -> Option<&mut Sector> {
         self.sectors.get_mut(da.0 as usize)
     }
@@ -117,6 +118,7 @@ impl DiskPack {
     }
 
     /// True if the sector has unrecoverable media damage.
+    #[inline]
     pub fn is_damaged(&self, da: DiskAddress) -> bool {
         self.hard_damaged.contains(&da.0)
     }

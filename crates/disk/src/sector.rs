@@ -176,6 +176,7 @@ impl SectorOp {
 
     /// Validates the hardware restriction that once a write is begun it must
     /// continue through the rest of the sector (§3.3).
+    #[inline]
     pub fn validate(&self) -> Result<(), DiskError> {
         let mut writing = false;
         for action in [self.header, self.label, self.value] {
@@ -193,6 +194,7 @@ impl SectorOp {
     }
 
     /// True if any part of this operation writes the disk.
+    #[inline]
     pub fn writes(&self) -> bool {
         [self.header, self.label, self.value].contains(&Action::Write)
     }

@@ -846,7 +846,7 @@ mod tests {
     fn pure_drain_is_zero_copy_and_matches_the_audited_fallback() {
         // A drain with no prefetch takes the borrowed-buffer write path.
         // Run it twin against a drive with the §3.3 auditor attached (which
-        // forces the buffered fallback inside `do_batch_write`): outcomes,
+        // stages each sector for the hook inside `do_batch_write`): outcomes,
         // platter words and simulated elapsed time must be identical, and
         // the audited run must observe a clean §3.3 protocol.
         let run = |audit: bool| {
