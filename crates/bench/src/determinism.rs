@@ -17,7 +17,7 @@
 use alto_disk::{
     BatchRequest, Disk, DiskAddress, DiskModel, DriveArray, Placement, SectorBuf, SectorOp,
 };
-use alto_fs::{dir, FileSystem, Scavenger};
+use alto_fs::{compact::Compactor, dir, FileSystem, Scavenger};
 use alto_net::{ClientConfig, ClientFleet, Ether, PageServer, PAGE_SERVICE_SOCKET};
 use alto_os::FsPageService;
 use alto_sim::{SimClock, SimTime, SplitMix64, Trace};
@@ -240,6 +240,61 @@ pub fn array_scavenge(k: usize) -> RunDigest {
     }
 }
 
+/// Fragment a K-pack file system, then compact it: the permutation's
+/// chained `WRITE_ALL` moves (pure cycles included — hash placement spreads
+/// the interleaved pages over every arm), sweep frees and batched leader
+/// refresh. The data digest folds the compaction report and every file read
+/// back afterwards.
+pub fn array_compact(k: usize) -> RunDigest {
+    const FILES: usize = 12;
+    const ROUNDS: usize = 6;
+    let (clock, trace, arr) = array(k, Placement::Hash);
+    let mut fs = FileSystem::format(arr).expect("format");
+    let root = fs.root_dir();
+    let names: Vec<String> = (0..FILES).map(|i| format!("cmp-{i}.dat")).collect();
+    for name in &names {
+        dir::create_named_file(&mut fs, root, name).expect("create");
+    }
+    // Grow every file a page at a time in a seeded order, so the files'
+    // pages interleave on the packs.
+    let mut rng = SplitMix64::new(0xC0AC);
+    for round in 1..=ROUNDS {
+        let mut order: Vec<usize> = (0..FILES).collect();
+        rng.shuffle(&mut order);
+        for i in order {
+            let f = dir::lookup(&mut fs, root, &names[i])
+                .expect("lookup")
+                .expect("present");
+            fs.write_file(f, &vec![(i * 29 % 251) as u8; round * 512 - i])
+                .expect("write");
+        }
+    }
+    let report = Compactor::run(&mut fs).expect("compact");
+    let mut data = Fold::default();
+    for v in [
+        report.files,
+        report.pages_moved,
+        report.pages_in_place,
+        report.cycles,
+        report.consecutive_files,
+    ] {
+        data.u64(u64::from(v));
+    }
+    data.u64(report.elapsed.as_nanos());
+    let root = fs.root_dir();
+    for name in &names {
+        let f = dir::lookup(&mut fs, root, name)
+            .expect("lookup")
+            .expect("present");
+        data.bytes(&fs.read_file(f).expect("read back"));
+    }
+    RunDigest {
+        trace: digest_trace(&trace),
+        data: data.value(),
+        sim_ns: clock.now().as_nanos(),
+    }
+}
+
 /// A full scripted-fleet server round: `clients` diskless clients open and
 /// page in files served by a `PageServer` over a K-arm Trident store. The
 /// data digest folds the fleet's order-independent served-word digest with
@@ -301,6 +356,7 @@ pub fn standard_suite(k: usize, clients: usize) -> Vec<WorkloadReport> {
         repeat_run("array_seq", || array_seq(k)),
         repeat_run("array_random", || array_random(k)),
         repeat_run("array_scavenge", || array_scavenge(k)),
+        repeat_run("array_compact", || array_compact(k)),
         repeat_run("server_round", || server_round(clients, k)),
     ]
 }

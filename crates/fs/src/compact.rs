@@ -8,18 +8,31 @@
 //!
 //! The compactor computes a target layout (descriptor pinned at its
 //! standard address, then every file's pages in file order), then realizes
-//! it as an in-place permutation, following each cycle with a single page
-//! buffer in memory. Labels are rewritten wholesale with the links of the
-//! *new* layout; leader pages get fresh last-page hints and the
-//! `maybe_consecutive` flag; directories are rewritten with the new leader
+//! it as an in-place permutation scheduled in *waves*. A move whose
+//! destination is free is in wave 0; any other move is one wave after the
+//! move that vacates its destination, so a page's old home is overwritten
+//! only once the page is durable at its new one. A pure cycle of moves has
+//! no free destination: it is broken by first copying one of its pages to a
+//! spare sector outside the target layout, which turns the cycle into a
+//! path that ends with that page moving from the spare to its new home. No
+//! live page is ever held only in memory.
+//!
+//! Each wave is cut into sweep-shaped chunks, and every chunk is one chained
+//! batch that writes the chunk's moves (with the labels of the *new* layout)
+//! and reads the next chunk's sources — safe because no wave's sources are
+//! written before the wave after it — so host memory holds two chunks, not
+//! the pack. Old homes and spares are freed in sweep batches; leader pages get fresh
+//! last-page hints and the `maybe_consecutive` flag in one batched read and
+//! one batched checked write; directories are rewritten with the new leader
 //! addresses; and the descriptor is rebuilt.
 //!
 //! Experiment E3 measures the order-of-magnitude sequential-read speedup
 //! this buys.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
-use alto_disk::{Disk, DiskAddress, Label, SectorBuf, SectorOp, DATA_WORDS};
+use alto_disk::{pool, BatchRequest, Disk, DiskAddress, Label, SectorBuf, SectorOp, DATA_WORDS};
 use alto_sim::SimTime;
 
 use crate::descriptor;
@@ -28,7 +41,8 @@ use crate::errors::FsError;
 use crate::file::FileSystem;
 use crate::leader::LeaderPage;
 use crate::names::{FileFullName, Fv, PageName};
-use crate::scavenge::Scavenger;
+use crate::page;
+use crate::scavenge::{Scavenger, Sweep};
 
 /// What the compactor did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -39,19 +53,20 @@ pub struct CompactReport {
     pub pages_moved: u32,
     /// Pages already in place.
     pub pages_in_place: u32,
-    /// Permutation cycles performed.
+    /// Pure permutation cycles, each broken by first copying one of its
+    /// pages to a spare sector outside the target layout.
     pub cycles: u32,
     /// Files whose pages are now perfectly consecutive.
     pub consecutive_files: u32,
-    /// Simulated time taken.
+    /// Simulated time taken, excluding the leading [`Scavenger::run`].
     pub elapsed: SimTime,
 }
 
 /// The compacting scavenger.
 pub struct Compactor;
 
-/// A file's scanned pages: `(page number, current address, byte length)`.
-type ScannedPages = Vec<(u16, DiskAddress, u16)>;
+/// A file's scanned pages: `(page number, current address, label)`.
+type ScannedPages = Vec<(u16, DiskAddress, Label)>;
 
 #[derive(Debug, Clone, Copy)]
 struct Placement {
@@ -59,7 +74,49 @@ struct Placement {
     page: u16,
     old_da: DiskAddress,
     new_da: DiskAddress,
-    length: u16,
+    /// The label the scan found at `old_da`.
+    old: Label,
+}
+
+/// One write of the permutation: placement `i`'s page, read at `from` and
+/// written at `to` with its label in the new layout.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    i: u32,
+    from: DiskAddress,
+    to: DiskAddress,
+}
+
+/// The permutation's writes in order, cut into chained chunks
+/// (`order[ends[k - 1]..ends[k]]` is chunk k), and the spare each pure
+/// cycle passed through.
+struct Schedule {
+    order: Vec<Move>,
+    ends: Vec<usize>,
+    spares: Vec<DiskAddress>,
+}
+
+/// No placement: an empty slot of the per-sector indexes, or a page that
+/// is not written at all.
+const NONE: u32 = u32::MAX;
+
+/// The label of placement `i` in the new layout: its own absolutes and
+/// length, linked to its file neighbours' new addresses.
+fn new_label(placements: &[Placement], i: usize) -> Label {
+    let p = &placements[i];
+    let neighbour = |j: Option<usize>, page: Option<u16>| {
+        j.zip(page)
+            .and_then(|(j, page)| placements.get(j).filter(|q| q.fv == p.fv && q.page == page))
+            .map_or(DiskAddress::NIL, |q| q.new_da)
+    };
+    Label {
+        fid: p.fv.serial.words(),
+        version: p.fv.version,
+        page_number: p.page,
+        length: p.old.length,
+        next: neighbour(i.checked_add(1), p.page.checked_add(1)),
+        prev: neighbour(i.checked_sub(1), p.page.checked_sub(1)),
+    }
 }
 
 impl Compactor {
@@ -75,17 +132,16 @@ impl Compactor {
         // Walk every file (via the root-reachable table the scavenger left:
         // the labels themselves) and record current page positions.
         let geometry = fs.disk().geometry()?;
+        let sectors = geometry.sector_count() as usize;
         let mut files: BTreeMap<Fv, ScannedPages> = BTreeMap::new();
         let mut bad: Vec<DiskAddress> = Vec::new();
         // The scan is the scavenger's sweep shape: chained cylinder batches,
         // one chunk per arm per batch so an array overlaps its timelines.
         let per_cylinder = (geometry.heads as usize * geometry.sectors as usize).max(1);
-        let all: Vec<DiskAddress> = (0..geometry.sector_count())
-            .map(|i| DiskAddress(i as u16))
-            .collect();
-        for das in crate::scavenge::sweep_batches(fs.disk(), &all, per_cylinder) {
-            let results = crate::page::read_raw_batch(fs.disk_mut(), &das);
-            for (da, res) in das.into_iter().zip(results) {
+        let all: Vec<DiskAddress> = (0..sectors).map(|i| DiskAddress(i as u16)).collect();
+        for das in Sweep::new(fs.disk(), &all, per_cylinder).batches() {
+            let results = page::read_raw_batch(fs.disk_mut(), das);
+            for (&da, res) in das.iter().zip(results) {
                 match res {
                     Ok((label, _)) => {
                         if label.is_bad() {
@@ -94,7 +150,7 @@ impl Compactor {
                             files.entry(Fv::from_label(&label)).or_default().push((
                                 label.page_number,
                                 da,
-                                label.length,
+                                label,
                             ));
                         }
                     }
@@ -104,7 +160,7 @@ impl Compactor {
             }
         }
         for pages in files.values_mut() {
-            pages.sort_unstable();
+            pages.sort_unstable_by_key(|&(page, da, _)| (page, da));
         }
 
         // Target layout: walk addresses in order, skipping bad sectors and
@@ -140,151 +196,119 @@ impl Compactor {
             ordered.push((fv, pages));
         }
 
+        // Each file's placements are one contiguous run, in file order.
+        let mut file_ends: Vec<usize> = Vec::with_capacity(ordered.len());
         for (fv, pages) in &ordered {
-            for (page, old_da, length) in pages {
-                let new_da = if *fv == desc_fv && *page == 0 {
+            for &(page, old_da, old) in pages {
+                let new_da = if *fv == desc_fv && page == 0 {
                     descriptor::DESCRIPTOR_LEADER_DA
-                } else if *fv == descriptor::boot_fv() && *page == 1 && boot_present {
+                } else if *fv == descriptor::boot_fv() && page == 1 && boot_present {
                     descriptor::BOOT_PAGE_DA
                 } else {
                     next_slot(&mut slot)
                 };
                 placements.push(Placement {
                     fv: *fv,
-                    page: *page,
-                    old_da: *old_da,
+                    page,
+                    old_da,
                     new_da,
-                    length: *length,
+                    old,
                 });
             }
+            file_ends.push(placements.len());
         }
         report.files = ordered.len() as u32;
 
-        // Index placements by old and new address for cycle chasing, and
-        // compute the final link structure.
-        let mut final_da: BTreeMap<(Fv, u16), DiskAddress> = BTreeMap::new();
-        for p in &placements {
-            final_da.insert((p.fv, p.page), p.new_da);
-        }
-        let new_label = |p: &Placement| -> Label {
-            Label {
-                fid: p.fv.serial.words(),
-                version: p.fv.version,
-                page_number: p.page,
-                length: p.length,
-                next: final_da
-                    .get(&(p.fv, p.page + 1))
-                    .copied()
-                    .unwrap_or(DiskAddress::NIL),
-                prev: if p.page == 0 {
-                    DiskAddress::NIL
-                } else {
-                    final_da
-                        .get(&(p.fv, p.page - 1))
-                        .copied()
-                        .unwrap_or(DiskAddress::NIL)
-                },
-            }
-        };
-
-        let by_old: BTreeMap<u16, usize> = placements
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.old_da.0, i))
-            .collect();
         let pack_number = fs.disk().pack_number()?;
-
-        // Permutation by cycle chasing. `emptied` tracks sectors whose
-        // content has moved away and not been replaced (to be freed).
-        let mut done = vec![false; placements.len()];
-        let mut occupied_new: std::collections::BTreeSet<u16> =
-            placements.iter().map(|p| p.new_da.0).collect();
-        for start_idx in 0..placements.len() {
-            if done[start_idx] || placements[start_idx].old_da == placements[start_idx].new_da {
-                if !done[start_idx] {
-                    // In place: rewrite the label only if links changed.
-                    let p = placements[start_idx];
-                    let pn = PageName::new(p.fv, p.page, p.old_da);
-                    let (current, data) = crate::page::read_page(fs.disk_mut(), pn)?;
-                    let target = new_label(&p);
-                    if current != target {
-                        crate::page::rewrite_label(fs.disk_mut(), pn, target, &data)?;
-                    }
-                    report.pages_in_place += 1;
-                    done[start_idx] = true;
-                }
-                continue;
-            }
-            // Follow the cycle/path starting here: read this page into
-            // memory, then repeatedly fill the vacated slot from whoever
-            // must move into it.
-            report.cycles += 1;
-            let mut carried: Vec<(usize, [u16; DATA_WORDS])> = Vec::new();
-            let mut idx = start_idx;
-            loop {
-                let p = placements[idx];
-                let mut buf = SectorBuf::zeroed();
-                crate::page::retry_op(fs.disk_mut(), p.old_da, SectorOp::READ_ALL, &mut buf)?;
-                carried.push((idx, buf.data));
-                done[idx] = true;
-                // Who currently lives at our destination?
-                match by_old.get(&p.new_da.0) {
-                    Some(&next_idx) if !done[next_idx] => idx = next_idx,
-                    _ => break,
-                }
-            }
-            // Write the carried pages in reverse order: the last page read
-            // has a free destination; each earlier page's destination was
-            // vacated by the one after it.
-            for (idx, data) in carried.into_iter().rev() {
-                let p = placements[idx];
-                let mut buf = SectorBuf::zeroed();
-                buf.header = [pack_number, p.new_da.0];
-                buf.set_label(new_label(&p));
-                buf.data = data;
-                crate::page::retry_op(fs.disk_mut(), p.new_da, SectorOp::WRITE_ALL, &mut buf)?;
+        let usable = |da: DiskAddress| {
+            !bad_set.contains(&da.0)
+                && da != descriptor::BOOT_PAGE_DA
+                && da != descriptor::DESCRIPTOR_LEADER_DA
+        };
+        let schedule = Self::schedule(fs.disk(), &placements, usable, sectors, per_cylinder)?;
+        report.cycles = schedule.spares.len() as u32;
+        for p in &placements {
+            if p.old_da == p.new_da {
+                report.pages_in_place += 1;
+            } else {
                 report.pages_moved += 1;
             }
         }
+        Self::permute(fs.disk_mut(), pack_number, &placements, &schedule)?;
 
-        // Free every sector that no longer holds live content.
-        for i in 0..geometry.sector_count() {
-            let da = DiskAddress(i as u16);
-            if occupied_new.contains(&da.0)
-                || bad_set.contains(&da.0)
-                || da == descriptor::BOOT_PAGE_DA
-                || da == descriptor::DESCRIPTOR_LEADER_DA
-            {
-                continue;
-            }
-            // Was it an old home of a moved page?
-            if by_old.contains_key(&da.0) {
+        // Free every old home that no longer holds live content, and every
+        // spare a cycle passed through.
+        let mut occupied = vec![false; sectors];
+        for p in &placements {
+            occupied[p.new_da.0 as usize] = true;
+        }
+        let mut freed: Vec<DiskAddress> = placements
+            .iter()
+            .map(|p| p.old_da)
+            .chain(schedule.spares)
+            .filter(|&da| {
+                !occupied[da.0 as usize]
+                    && da != descriptor::BOOT_PAGE_DA
+                    && da != descriptor::DESCRIPTOR_LEADER_DA
+            })
+            .collect();
+        freed.sort_unstable();
+        freed.dedup();
+        for das in Sweep::new(fs.disk(), &freed, per_cylinder).batches() {
+            let mut batch = pool::batch_vec();
+            batch.extend(das.iter().map(|&da| {
                 let mut buf = SectorBuf::with_label(Label::FREE);
                 buf.header = [pack_number, da.0];
                 buf.data = [u16::MAX; DATA_WORDS];
-                crate::page::retry_op(fs.disk_mut(), da, SectorOp::WRITE_ALL, &mut buf)?;
-            }
+                BatchRequest::new(da, SectorOp::WRITE_ALL, buf)
+            }));
+            run_chained(fs.disk_mut(), &mut batch)?;
+            pool::recycle_batch(batch);
         }
-        occupied_new.insert(descriptor::DESCRIPTOR_LEADER_DA.0);
 
-        // Refresh leader hints and count consecutive files.
-        for (fv, pages) in &ordered {
-            let leader_new = final_da[&(*fv, 0)];
-            let last_page = pages.last().map_or(0, |(p, _, _)| *p);
-            let last_da = final_da[&(*fv, last_page)];
-            let consecutive = pages
+        // Refresh leader hints and count consecutive files: one batched
+        // read of every leader at its new home, one batched checked write.
+        let mut leaders: Vec<PageName> = Vec::with_capacity(ordered.len());
+        let mut first = 0;
+        for &end in &file_ends {
+            let p = &placements[first];
+            leaders.push(PageName::new(p.fv, 0, p.new_da));
+            first = end;
+        }
+        let mut images = crate::pool::chunks_vec();
+        images.resize(leaders.len(), [0; DATA_WORDS]);
+        let labels = page::read_pages_zero_copy(fs.disk_mut(), &leaders, |i, _, view| {
+            images[i] = *view.data();
+        });
+        let failed = labels.iter().find_map(|r| r.as_ref().err().cloned());
+        crate::pool::recycle_labels(labels);
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let mut first = 0;
+        for (image, &end) in images.iter_mut().zip(&file_ends) {
+            let file = &placements[first..end];
+            let leader_new = file[0].new_da;
+            let last = &file[file.len() - 1];
+            let consecutive = file
                 .iter()
-                .all(|(p, _, _)| final_da[&(*fv, *p)].0 == leader_new.0.wrapping_add(*p));
+                .all(|p| p.new_da.0 == leader_new.0.wrapping_add(p.page));
             if consecutive {
                 report.consecutive_files += 1;
             }
-            let pn = PageName::new(*fv, 0, leader_new);
-            let (_, data) = crate::page::read_page(fs.disk_mut(), pn)?;
-            let mut leader = LeaderPage::decode(&data);
-            leader.last_page = last_page;
-            leader.last_da = last_da;
+            let mut leader = LeaderPage::decode(image);
+            leader.last_page = last.page;
+            leader.last_da = last.new_da;
             leader.maybe_consecutive = consecutive;
-            crate::page::write_page(fs.disk_mut(), pn, &leader.encode())?;
+            *image = leader.encode();
+            first = end;
+        }
+        let labels = page::write_pages(fs.disk_mut(), leaders.iter().copied(), &images)?;
+        let failed = labels.iter().find_map(|r| r.as_ref().err().cloned());
+        crate::pool::recycle_labels(labels);
+        crate::pool::recycle_chunks(images);
+        if let Some(e) = failed {
+            return Err(e);
         }
 
         // Rebuild the in-memory descriptor to match the new layout.
@@ -301,23 +325,33 @@ impl Compactor {
                 desc.bitmap.set_busy(*da);
             }
         }
+        // Every file's new leader address, by file.
+        let mut leader_of: Vec<(Fv, DiskAddress)> =
+            leaders.iter().map(|pn| (pn.fv, pn.da)).collect();
+        leader_of.sort_unstable_by_key(|&(fv, _)| fv);
+        let new_leader = |fv: Fv| {
+            leader_of
+                .binary_search_by_key(&fv, |&(f, _)| f)
+                .ok()
+                .map(|i| leader_of[i].1)
+        };
         let root_fv = fs.descriptor().root_dir.fv;
-        if let Some(&root_new) = final_da.get(&(root_fv, 0)) {
+        if let Some(root_new) = new_leader(root_fv) {
             fs.descriptor_mut().root_dir = FileFullName::new(root_fv, root_new);
         }
 
         // Rewrite directory entries with the new leader addresses.
-        let dir_list: Vec<FileFullName> = ordered
+        let dir_list: Vec<FileFullName> = leaders
             .iter()
-            .filter(|(fv, _)| fv.serial.is_directory())
-            .map(|(fv, _)| FileFullName::new(*fv, final_da[&(*fv, 0)]))
+            .filter(|pn| pn.fv.serial.is_directory())
+            .map(|pn| FileFullName::new(pn.fv, pn.da))
             .collect();
         for dir_name in dir_list {
             let entries = dir::list(fs, dir_name)?;
             let fixed: Vec<dir::DirEntry> = entries
                 .into_iter()
                 .map(|mut e| {
-                    if let Some(&new) = final_da.get(&(e.file.fv, 0)) {
+                    if let Some(new) = new_leader(e.file.fv) {
                         e.file = FileFullName::new(e.file.fv, new);
                     }
                     e
@@ -330,12 +364,191 @@ impl Compactor {
         report.elapsed = fs.disk().clock().now() - start;
         Ok(report)
     }
+
+    /// Orders the writes of the permutation — every page that moves, every
+    /// page that stays but whose links change, and one copy to a spare per
+    /// pure cycle — wave by wave, each wave cut into sweep-shaped chunks.
+    /// Fails with [`FsError::DiskFull`], before anything is written, if a
+    /// cycle needs a spare and the pack has no sector outside the target
+    /// layout.
+    fn schedule<D: Disk>(
+        disk: &D,
+        placements: &[Placement],
+        usable: impl Fn(DiskAddress) -> bool,
+        sectors: usize,
+        per_cylinder: usize,
+    ) -> Result<Schedule, FsError> {
+        // Who lives where now, and who is bound where.
+        let mut by_old = vec![NONE; sectors];
+        let mut by_new = vec![NONE; sectors];
+        for (i, p) in placements.iter().enumerate() {
+            by_old[p.old_da.0 as usize] = i as u32;
+            by_new[p.new_da.0 as usize] = i as u32;
+        }
+        // A move waits on the page now at its destination, if that page
+        // moves too; a page that stays is relabelled in wave 0, or skipped
+        // if its scanned label is already the target.
+        let occupant = |i: usize| {
+            let j = by_old[placements[i].new_da.0 as usize];
+            (j != NONE && j as usize != i).then_some(j as usize)
+        };
+        let mut wave = vec![NONE; placements.len()];
+        let mut cycles: Vec<u32> = Vec::new();
+        let mut path: Vec<usize> = Vec::new();
+        for m in 0..placements.len() {
+            let p = &placements[m];
+            if wave[m] != NONE || (p.old_da == p.new_da && p.old == new_label(placements, m)) {
+                continue;
+            }
+            // Chase the occupants from `m`. The moves form disjoint paths
+            // and cycles, and `m` is the first of its own that is met, so
+            // the chase ends at a free destination, at a move already
+            // scheduled, or back at `m` — a pure cycle, whose waves count
+            // from 1 for now: wave 0 is the copy of `m` to a spare.
+            path.clear();
+            let mut x = m;
+            let base = loop {
+                path.push(x);
+                match occupant(x) {
+                    None => break 0,
+                    Some(y) if y == m => {
+                        cycles.push(m as u32);
+                        break 1;
+                    }
+                    Some(y) if wave[y] != NONE => break wave[y] + 1,
+                    Some(y) => x = y,
+                }
+            };
+            for (k, &x) in path.iter().rev().enumerate() {
+                wave[x] = base + k as u32;
+            }
+        }
+
+        // Break each cycle through a spare: a sector outside the target
+        // layout, free from wave 0 if no page lives there, else from the
+        // wave after its page moves out (paths never wait on cycles, so that
+        // wave is final). The cycle shifts to start after the copy, and the
+        // spare is free again the wave after `m` moves on from it.
+        let mut spares = BinaryHeap::new();
+        if !cycles.is_empty() {
+            spares.extend(
+                (0..sectors)
+                    .filter(|&s| by_new[s] == NONE && usable(DiskAddress(s as u16)))
+                    .map(|s| {
+                        let free_at = match by_old[s] {
+                            NONE => 0,
+                            j => wave[j as usize] + 1,
+                        };
+                        Reverse((free_at, s as u16))
+                    }),
+            );
+        }
+        let mut copies: Vec<(u32, Move)> = Vec::with_capacity(cycles.len());
+        for &m in &cycles {
+            let Reverse((free_at, spare)) = spares.pop().ok_or(FsError::DiskFull)?;
+            let mut x = Some(m as usize);
+            while let Some(y) = x {
+                wave[y] += free_at;
+                x = occupant(y).filter(|&z| z != m as usize);
+            }
+            let (i, from, to) = (m, placements[m as usize].old_da, DiskAddress(spare));
+            copies.push((free_at, Move { i, from, to }));
+            spares.push(Reverse((wave[m as usize] + 1, spare)));
+        }
+
+        // Wave by wave, in destination order, cut into sweep-shaped chunks.
+        let mut jobs: Vec<(u32, Move)> = wave
+            .iter()
+            .zip(placements)
+            .enumerate()
+            .filter(|&(_, (&w, _))| w != NONE)
+            .map(|(i, (&w, p))| {
+                // A cycle's first page moves on from its spare.
+                let from = cycles
+                    .binary_search(&(i as u32))
+                    .map_or(p.old_da, |c| copies[c].1.to);
+                let (i, to) = (i as u32, p.new_da);
+                (w, Move { i, from, to })
+            })
+            .chain(copies.iter().copied())
+            .collect();
+        jobs.sort_unstable_by_key(|&(w, m)| (w, m.to));
+        let dsts: Vec<DiskAddress> = jobs.iter().map(|(_, m)| m.to).collect();
+        let mut sweep = Sweep::default();
+        let mut order = Vec::with_capacity(jobs.len());
+        let mut from = 0;
+        while from < jobs.len() {
+            let to = from + jobs[from..].partition_point(|j| j.0 == jobs[from].0);
+            let start = sweep.das.len();
+            sweep.extend(disk, &dsts[from..to], per_cylinder);
+            let in_wave = &jobs[from..to];
+            order.extend(
+                sweep.das[start..]
+                    .iter()
+                    .map(|&da| in_wave[in_wave.partition_point(|j| j.1.to < da)].1),
+            );
+            from = to;
+        }
+        Ok(Schedule {
+            order,
+            ends: sweep.ends,
+            spares: copies.iter().map(|(_, m)| m.to).collect(),
+        })
+    }
+
+    /// Realizes the schedule: chunk 0's sources are read first, then batch
+    /// k writes chunk k and reads chunk k+1's sources. A chunk's sources
+    /// are written only by a later wave, so every live page keeps a durable
+    /// copy at every write. A failed write stops the permutation there.
+    fn permute<D: Disk>(
+        disk: &mut D,
+        pack_number: u16,
+        placements: &[Placement],
+        schedule: &Schedule,
+    ) -> Result<(), FsError> {
+        let Schedule { order, ends, .. } = schedule;
+        if order.is_empty() {
+            return Ok(());
+        }
+        let chunk = |k: usize| &order[k.checked_sub(1).map_or(0, |j| ends[j])..ends[k]];
+        let read = |m: &Move| BatchRequest::new(m.from, SectorOp::READ_ALL, SectorBuf::zeroed());
+        let mut batch = pool::batch_vec();
+        batch.extend(chunk(0).iter().map(read));
+        run_chained(disk, &mut batch)?;
+        for k in 0..ends.len() {
+            // The reads that led into this chunk become its writes; the
+            // next chunk's sources are read behind them.
+            for (req, m) in batch.iter_mut().zip(chunk(k)) {
+                req.da = m.to;
+                req.op = SectorOp::WRITE_ALL;
+                req.buf.header = [pack_number, m.to.0];
+                req.buf.set_label(new_label(placements, m.i as usize));
+            }
+            let writes = batch.len();
+            if k + 1 < ends.len() {
+                batch.extend(chunk(k + 1).iter().map(read));
+            }
+            run_chained(disk, &mut batch)?;
+            batch.drain(..writes);
+        }
+        pool::recycle_batch(batch);
+        Ok(())
+    }
+}
+
+/// Runs `batch` as one chained batch under bounded retry, failing with
+/// its first member's error, if any.
+fn run_chained<D: Disk>(disk: &mut D, batch: &mut [BatchRequest]) -> Result<(), FsError> {
+    let results = page::batch_with_retry(disk, batch);
+    let failed = results.iter().find_map(|r| r.err());
+    pool::recycle_results(results);
+    failed.map_or(Ok(()), |e| Err(e.into()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alto_disk::{DiskDrive, DiskModel};
+    use alto_disk::{DiskDrive, DiskError, DiskModel, DriveArray, FaultKind};
     use alto_sim::{SimClock, SplitMix64, Trace};
 
     fn fresh_fs() -> FileSystem<DiskDrive> {
@@ -347,7 +560,30 @@ mod tests {
     /// Creates `n` files then rewrites them in shuffled order repeatedly so
     /// their pages interleave on disk.
     fn fragmented_fs(files: usize, pages_each: usize) -> (FileSystem<DiskDrive>, Vec<String>) {
-        let mut fs = fresh_fs();
+        fragment(fresh_fs(), files, pages_each)
+    }
+
+    /// A K=4 Diablo 31 array fragmented the same way.
+    fn fragmented_array(
+        placement: alto_disk::Placement,
+        files: usize,
+        pages_each: usize,
+    ) -> (FileSystem<DriveArray>, Vec<String>) {
+        let array = DriveArray::with_arms(
+            4,
+            placement,
+            SimClock::new(),
+            Trace::new(),
+            DiskModel::Diablo31,
+        );
+        fragment(FileSystem::format(array).unwrap(), files, pages_each)
+    }
+
+    fn fragment<D: Disk>(
+        mut fs: FileSystem<D>,
+        files: usize,
+        pages_each: usize,
+    ) -> (FileSystem<D>, Vec<String>) {
         let root = fs.root_dir();
         let mut names = Vec::new();
         for i in 0..files {
@@ -477,5 +713,170 @@ mod tests {
             speedup > 3.0,
             "expected a large speedup, got {speedup:.2}x ({scattered_time} -> {compact_time})"
         );
+    }
+
+    /// FNV-1a over every sector's label, plus the data of every sector that
+    /// is not a leader page (leaders carry clock-stamped dates).
+    fn layout_digest<D: Disk>(fs: &mut FileSystem<D>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |w: u16| {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        each_sector(fs, |_, label, data| {
+            label.encode().iter().for_each(|&w| fold(w));
+            if !(label.is_in_use() && label.page_number == 0) {
+                data.iter().for_each(|&w| fold(w));
+            }
+        });
+        h
+    }
+
+    /// Reads every sector of the pack raw, in address order.
+    fn each_sector<D: Disk>(
+        fs: &mut FileSystem<D>,
+        mut visit: impl FnMut(DiskAddress, Label, &[u16; DATA_WORDS]),
+    ) {
+        let count = fs.disk().geometry().unwrap().sector_count();
+        let all: Vec<DiskAddress> = (0..count).map(|i| DiskAddress(i as u16)).collect();
+        for das in all.chunks(256) {
+            for (&da, res) in das.iter().zip(page::read_raw_batch(fs.disk_mut(), das)) {
+                let (label, data) = res.unwrap();
+                visit(da, label, &data);
+            }
+        }
+    }
+
+    /// The compacted layout is pinned: the placements, labels and page data
+    /// `Compactor::run` leaves on the pack, on one drive and on a K=4 array.
+    #[test]
+    fn compacted_layout_is_pinned() {
+        let (mut fs, _) = fragmented_fs(6, 12);
+        let report = Compactor::run(&mut fs).unwrap();
+        assert!(report.cycles > 0);
+        assert_eq!(layout_digest(&mut fs), 8_276_631_968_552_855_929);
+        let (mut fs, _) = fragmented_array(alto_disk::Placement::Hash, 6, 12);
+        let report = Compactor::run(&mut fs).unwrap();
+        assert!(report.cycles > 0 && report.pages_in_place > 0);
+        assert_eq!(layout_digest(&mut fs), 7_148_067_291_864_658_306);
+    }
+
+    /// Where every live page lives, by absolute name, from a raw sweep.
+    fn page_homes<D: Disk>(fs: &mut FileSystem<D>) -> BTreeMap<(Fv, u16), DiskAddress> {
+        let mut homes = BTreeMap::new();
+        each_sector(fs, |da, label, _| {
+            if label.is_in_use() {
+                homes.insert((Fv::from_label(&label), label.page_number), da);
+            }
+        });
+        homes
+    }
+
+    fn contents<D: Disk>(fs: &mut FileSystem<D>, names: &[String]) -> Vec<Vec<u8>> {
+        let root = fs.root_dir();
+        names
+            .iter()
+            .map(|n| {
+                let f = dir::lookup(fs, root, n).unwrap().unwrap();
+                fs.read_file(f).unwrap()
+            })
+            .collect()
+    }
+
+    /// Fails each move of compacting `fixture` in turn — its write to its
+    /// destination fails hard — and checks that the run stops with the
+    /// error and a rebuild brings back every file byte-exact. Returns the
+    /// fault-free run's report and how many faulted moves lie on a pure
+    /// cycle.
+    fn fail_each_move(
+        fixture: impl Fn() -> (FileSystem<DriveArray>, Vec<String>),
+    ) -> (CompactReport, usize) {
+        let (mut fs, names) = fixture();
+        let want = contents(&mut fs, &names);
+        Scavenger::run(&mut fs).unwrap();
+        let before = page_homes(&mut fs);
+        let report = Compactor::run(&mut fs).unwrap();
+        let after = page_homes(&mut fs);
+        let moves: Vec<(DiskAddress, DiskAddress)> = before
+            .iter()
+            .map(|(name, &src)| (src, after[name]))
+            .filter(|(src, dst)| src != dst)
+            .collect();
+        assert_eq!(moves.len(), report.pages_moved as usize);
+        // Some move waits on another, so the schedule has more than one wave.
+        assert!(moves
+            .iter()
+            .any(|&(_, dst)| moves.iter().any(|&(src, _)| src == dst)));
+        // Following each destination to the move out of it leads back to
+        // a move's own source only on a pure cycle.
+        let on_cycle = |&(src, dst): &(DiskAddress, DiskAddress)| {
+            let mut at = dst;
+            for _ in 0..moves.len() {
+                if at == src {
+                    return true;
+                }
+                match moves.iter().find(|m| m.0 == at) {
+                    Some(m) => at = m.1,
+                    None => return false,
+                }
+            }
+            false
+        };
+
+        // The leading scavenge rebuilds the descriptor file at its pages'
+        // current homes, so a fault there fires before the permutation.
+        let desc_homes: Vec<DiskAddress> = before
+            .iter()
+            .filter(|((fv, _), _)| *fv == descriptor::descriptor_fv())
+            .map(|(_, &da)| da)
+            .collect();
+        let (mut armed, mut in_cycles) = (0, 0);
+        for m in moves.iter().filter(|(_, dst)| !desc_homes.contains(dst)) {
+            let dst = m.1;
+            armed += 1;
+            in_cycles += usize::from(on_cycle(m));
+            let (mut fs, _) = fixture();
+            let attempts = fs.disk().retry_limit() + 1;
+            let arm = fs.disk().arm_of(dst);
+            // Range placement gives each arm one span; hash placement deals
+            // the addresses round the arms.
+            let local = DiskAddress(match fs.disk().arm_origin(arm) {
+                Some(origin) => dst.0 - origin.0,
+                None => dst.0 / fs.disk().arm_count() as u16,
+            });
+            fs.disk_mut()
+                .arm_mut(arm)
+                .injector_mut()
+                .arm(local, FaultKind::NotReady { attempts });
+            let err = Compactor::run(&mut fs).unwrap_err();
+            assert!(
+                matches!(err, FsError::Disk(DiskError::HardError { .. })),
+                "move to {dst}: {err:?}"
+            );
+            let (mut fs, _) = Scavenger::rebuild(fs.crash()).unwrap();
+            assert_eq!(contents(&mut fs, &names), want, "move to {dst}");
+        }
+        assert!(
+            armed > moves.len() / 2,
+            "{armed} of {} moves faulted",
+            moves.len()
+        );
+        (report, in_cycles)
+    }
+
+    /// The schedule's crash-safety order: whichever move's write fails
+    /// hard, every live page still has a durable copy. On range placement
+    /// the permutation is paths only; on hash placement it has pure cycles,
+    /// and a write that fails between a cycle's copy to its spare and the
+    /// cycle's last move loses nothing either.
+    #[test]
+    fn a_failed_move_leaves_every_file_recoverable() {
+        let (report, _) = fail_each_move(|| fragmented_array(alto_disk::Placement::Range, 6, 3));
+        assert_eq!(report.cycles, 0);
+        let (report, in_cycles) =
+            fail_each_move(|| fragmented_array(alto_disk::Placement::Hash, 6, 3));
+        assert!(report.cycles > 0 && in_cycles > 0);
     }
 }

@@ -354,14 +354,31 @@ pub fn write_pages_guessed<D: Disk>(
     start: PageName,
     chunks: &[[u16; DATA_WORDS]],
 ) -> Result<Vec<Result<Label, FsError>>, FsError> {
+    let guesses = (0..chunks.len() as u16)
+        .map(|j| PageName::new(fv, start.page + j, DiskAddress(start.da.0.wrapping_add(j))));
+    write_pages(disk, guesses, chunks)
+}
+
+/// Writes the data of named pages — possibly of many files — as one
+/// chained batch at their known addresses: ordinary data writes, each label
+/// checked before the value is touched (§3.3), under bounded retry. The
+/// batched twin of [`write_page`]; `data[i]` is the new value of the `i`th
+/// page.
+///
+/// Returns one captured label (or error) per page, in page order, in a
+/// pooled vector — recycle it with [`crate::pool::recycle_labels`].
+pub fn write_pages<D: Disk>(
+    disk: &mut D,
+    pages: impl Iterator<Item = PageName> + Clone,
+    data: &[[u16; DATA_WORDS]],
+) -> Result<Vec<Result<Label, FsError>>, FsError> {
     let pack = disk.pack_number()?;
     let mut batch = pool::batch_vec();
-    for (j, chunk) in chunks.iter().enumerate() {
-        let da = DiskAddress(start.da.0.wrapping_add(j as u16));
-        let mut buf = SectorBuf::with_label(fv.check_label(start.page + j as u16));
-        buf.header = [pack, da.0];
-        buf.data = *chunk;
-        batch.push(BatchRequest::new(da, SectorOp::WRITE, buf));
+    for (pn, words) in pages.clone().zip(data) {
+        let mut buf = SectorBuf::with_label(pn.fv.check_label(pn.page));
+        buf.header = [pack, pn.da.0];
+        buf.data = *words;
+        batch.push(BatchRequest::new(pn.da, SectorOp::WRITE, buf));
     }
     let mut results = batch_with_retry(disk, &mut batch);
     let mut out = crate::pool::labels_vec();
@@ -369,11 +386,10 @@ pub fn write_pages_guessed<D: Disk>(
         results
             .drain(..)
             .zip(batch.drain(..))
-            .enumerate()
-            .map(|(j, (res, req))| {
-                let da = DiskAddress(start.da.0.wrapping_add(j as u16));
+            .zip(pages)
+            .map(|((res, req), pn)| {
                 res.map_err(FsError::from)
-                    .and_then(|()| verified_label(da, fv, start.page + j as u16, &req.buf))
+                    .and_then(|()| verified_label(pn.da, pn.fv, pn.page, &req.buf))
             }),
     );
     pool::recycle_results(results);

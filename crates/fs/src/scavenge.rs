@@ -81,48 +81,66 @@ pub struct ScavengeReport {
 /// and the page number. The disk address is the index into the table.
 type TableEntry = ([u16; 2], u16);
 
-/// Splits `das` (already in address order) into chained sweep batches. On a
-/// single drive each batch is one cylinder-sized chunk, exactly the
+/// Chained sweep batches over a set of disk addresses, kept flat:
+/// `das[ends[k - 1]..ends[k]]` is batch k (from 0 for the first).
+///
+/// On a single drive each batch is one cylinder-sized chunk, exactly the
 /// original sweep. On a drive array the addresses are first partitioned by
 /// arm and each batch takes one cylinder-sized chunk from *every* arm, so
 /// the array services the K chunks on overlapped timelines — a full-platter
 /// sweep costs about one arm's sweep in simulated time instead of K of
 /// them. Order within an arm is preserved, so each arm still sees a
 /// low-seek, address-ordered pass.
-pub(crate) fn sweep_batches<D: Disk>(
-    disk: &D,
-    das: &[DiskAddress],
-    per_cylinder: usize,
-) -> Vec<Vec<DiskAddress>> {
-    let per_cylinder = per_cylinder.max(1);
-    let arms = disk.arm_count();
-    if arms <= 1 {
-        return das
-            .chunks(per_cylinder)
-            .map(<[DiskAddress]>::to_vec)
-            .collect();
+#[derive(Debug, Default)]
+pub(crate) struct Sweep {
+    pub(crate) das: Vec<DiskAddress>,
+    pub(crate) ends: Vec<usize>,
+    /// Per arm, how far into the input its stream has been taken.
+    cursors: Vec<usize>,
+}
+
+impl Sweep {
+    /// The sweep batches of `das` (already in address order).
+    pub(crate) fn new<D: Disk>(disk: &D, das: &[DiskAddress], per_cylinder: usize) -> Sweep {
+        let mut sweep = Sweep::default();
+        sweep.extend(disk, das, per_cylinder);
+        sweep
     }
-    let mut streams: Vec<Vec<DiskAddress>> = vec![Vec::new(); arms];
-    for &da in das {
-        streams[disk.arm_of(da)].push(da);
-    }
-    let rounds = streams
-        .iter()
-        .map(|s| s.len().div_ceil(per_cylinder))
-        .max()
-        .unwrap_or(0);
-    let mut batches = Vec::with_capacity(rounds);
-    for r in 0..rounds {
-        let mut batch = Vec::new();
-        for s in &streams {
-            let start = r * per_cylinder;
-            if start < s.len() {
-                batch.extend_from_slice(&s[start..(start + per_cylinder).min(s.len())]);
+
+    /// Appends the sweep batches of `das` (already in address order).
+    pub(crate) fn extend<D: Disk>(&mut self, disk: &D, das: &[DiskAddress], per_cylinder: usize) {
+        let per_cylinder = per_cylinder.max(1);
+        let arms = disk.arm_count().max(1);
+        self.cursors.clear();
+        self.cursors.resize(arms, 0);
+        loop {
+            let before = self.das.len();
+            for (arm, at) in self.cursors.iter_mut().enumerate() {
+                let mut taken = 0;
+                while taken < per_cylinder && *at < das.len() {
+                    let da = das[*at];
+                    *at += 1;
+                    if arms == 1 || disk.arm_of(da) == arm {
+                        self.das.push(da);
+                        taken += 1;
+                    }
+                }
             }
+            if self.das.len() == before {
+                break;
+            }
+            self.ends.push(self.das.len());
         }
-        batches.push(batch);
     }
-    batches
+
+    /// The batches, in order.
+    pub(crate) fn batches(&self) -> impl Iterator<Item = &[DiskAddress]> {
+        self.ends.iter().scan(0, |from, &end| {
+            let batch = &self.das[*from..end];
+            *from = end;
+            Some(batch)
+        })
+    }
 }
 
 /// The scavenging procedure.
@@ -182,9 +200,10 @@ impl Scavenger {
         let mut table: Vec<Option<TableEntry>> = vec![None; sector_count as usize];
         let mut bad: Vec<DiskAddress> = Vec::new();
         let all: Vec<DiskAddress> = (0..sector_count).map(|i| DiskAddress(i as u16)).collect();
-        for das in sweep_batches(fs.disk(), &all, per_cylinder as usize) {
-            let results = page::read_raw_batch(fs.disk_mut(), &das);
-            for (da, res) in das.into_iter().zip(results) {
+        let sweep = Sweep::new(fs.disk(), &all, per_cylinder as usize);
+        for das in sweep.batches() {
+            let results = page::read_raw_batch(fs.disk_mut(), das);
+            for (&da, res) in das.iter().zip(results) {
                 report.sectors_scanned += 1;
                 let label = match res {
                     Ok((label, _)) => label,
@@ -278,8 +297,9 @@ impl Scavenger {
         // Address order means each chunk is one stretch of the platter; the
         // chained batch reads it in a couple of revolutions (one stretch per
         // arm, overlapped, on an array).
-        for das in sweep_batches(fs.disk(), &live_das, per_cylinder as usize) {
-            let results = page::read_raw_batch(fs.disk_mut(), &das);
+        let sweep = Sweep::new(fs.disk(), &live_das, per_cylinder as usize);
+        for das in sweep.batches() {
+            let results = page::read_raw_batch(fs.disk_mut(), das);
             for (&da, res) in das.iter().zip(results) {
                 let (fid, page) = live[&da.0];
                 // A sector that scanned in phase 1 but fails to read now is

@@ -123,8 +123,9 @@ fn main() {
 
     let report = Compactor::run(&mut fs).expect("compact");
     println!(
-        "  compaction moved {} pages in {} cycles ({} files now consecutive)",
-        report.pages_moved, report.cycles, report.consecutive_files
+        "  compaction moved {} pages ({} pure cycles broken through a spare sector) in {}; \
+         {} files now consecutive",
+        report.pages_moved, report.cycles, report.elapsed, report.consecutive_files
     );
 
     let root = fs.root_dir();

@@ -7,7 +7,7 @@
 //! shapes sized for debug-mode `cargo test`.
 
 use alto_bench::determinism::{
-    array_random, array_scavenge, array_seq, repeat_run, server_round, RunDigest,
+    array_compact, array_random, array_scavenge, array_seq, repeat_run, server_round, RunDigest,
 };
 
 #[test]
@@ -25,6 +25,15 @@ fn array_random_is_bit_identical_across_runs() {
 #[test]
 fn array_scavenge_is_bit_identical_across_runs() {
     let r = repeat_run("array_scavenge", || array_scavenge(2));
+    assert!(r.identical(), "{}", r.describe());
+}
+
+/// Runs the compactor's chained `WRITE_ALL` moves on four arms; CI's debug
+/// `ALTO_AUDIT=1` step runs them under the §3.3 auditor and the planner's
+/// wait assertion.
+#[test]
+fn array_compact_is_bit_identical_across_runs() {
+    let r = repeat_run("array_compact", || array_compact(4));
     assert!(r.identical(), "{}", r.describe());
 }
 
