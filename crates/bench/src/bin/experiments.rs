@@ -850,20 +850,18 @@ fn pr2_cache_bench(json_path: Option<&str>) {
     };
     let chain_jumps = |fs: &mut FileSystem<DiskDrive>, f: FileFullName| -> (u32, u32) {
         let (leader, _) = fs.read_page(f.leader_page()).unwrap();
-        let (mut da, mut page) = (leader.next, 1u16);
         let (mut jumps, mut links) = (0u32, 0u32);
-        loop {
-            let (label, _) = fs.read_page(PageName::new(f.fv, page, da)).unwrap();
+        let first = PageName::new(f.fv, 1, leader.next);
+        alto_fs::chain::to_end(fs.disk_mut(), first, |pn, label, _| {
             if label.next.is_nil() {
-                break;
+                return;
             }
-            if label.next.0 != da.0.wrapping_add(1) {
+            if label.next.0 != pn.da.0.wrapping_add(1) {
                 jumps += 1;
             }
             links += 1;
-            da = label.next;
-            page += 1;
-        }
+        })
+        .unwrap();
         (jumps, links)
     };
 

@@ -17,10 +17,14 @@
 use alto_disk::{
     BatchRequest, Disk, DiskAddress, DiskModel, DriveArray, Placement, SectorBuf, SectorOp,
 };
+use alto_fs::hints::{resolve_page, HintStats, PageHints};
 use alto_fs::{compact::Compactor, dir, FileSystem, Scavenger};
-use alto_net::{ClientConfig, ClientFleet, Ether, PageServer, PAGE_SERVICE_SOCKET};
+use alto_net::{
+    ClientConfig, ClientFleet, Ether, PageRequest, PageServer, PageStore, PAGE_SERVICE_SOCKET,
+};
 use alto_os::FsPageService;
 use alto_sim::{SimClock, SimTime, SplitMix64, Trace};
+use alto_streams::{DiskByteStream, Stream};
 
 /// FNV-1a over everything a run observes.
 #[derive(Debug, Clone, Copy)]
@@ -76,14 +80,19 @@ pub struct RunDigest {
     pub sim_ns: u64,
 }
 
-fn digest_trace(trace: &Trace) -> u64 {
+/// A run's digest: its trace stream, its data fold and the clock.
+fn run_digest(clock: &SimClock, trace: &Trace, data: &Fold) -> RunDigest {
     let mut f = Fold::default();
     for ev in trace.events() {
         f.u64(ev.at.as_nanos());
         f.bytes(ev.tag.as_bytes());
         f.bytes(ev.detail.as_bytes());
     }
-    f.value()
+    RunDigest {
+        trace: f.value(),
+        data: data.value(),
+        sim_ns: clock.now().as_nanos(),
+    }
 }
 
 /// One workload's two runs.
@@ -140,78 +149,54 @@ pub fn repeat_run(name: &'static str, f: impl Fn() -> RunDigest) -> WorkloadRepo
 const ARRAY_BATCH: u16 = 1024;
 const ARRAY_ROUNDS: usize = 12;
 
-fn array(k: usize, placement: Placement) -> (SimClock, Trace, DriveArray) {
+fn array(k: usize, placement: Placement, model: DiskModel) -> (SimClock, Trace, DriveArray) {
     let clock = SimClock::new();
     let trace = Trace::new();
     trace.set_enabled(true);
-    let arr = DriveArray::with_arms(
-        k,
-        placement,
-        clock.clone(),
-        trace.clone(),
-        DiskModel::Diablo31,
-    );
+    let arr = DriveArray::with_arms(k, placement, clock.clone(), trace.clone(), model);
     (clock, trace, arr)
 }
 
 /// Chained sequential reads across all K arms (hash placement interleaves
 /// consecutive addresses onto every arm).
 pub fn array_seq(k: usize) -> RunDigest {
-    let (clock, trace, mut arr) = array(k, Placement::Hash);
-    let mut data = Fold::default();
-    for _ in 0..ARRAY_ROUNDS {
-        let mut batch: Vec<BatchRequest> = (0..ARRAY_BATCH)
-            .map(|i| BatchRequest::new(DiskAddress(i), SectorOp::READ_ALL, SectorBuf::zeroed()))
-            .collect();
-        let results = arr.do_batch(&mut batch);
-        for r in &results {
-            assert!(r.is_ok(), "array_seq read failed: {r:?}");
-        }
-        alto_disk::pool::recycle_results(results);
-        for req in &batch {
-            data.words(&req.buf.data);
-        }
-    }
-    RunDigest {
-        trace: digest_trace(&trace),
-        data: data.value(),
-        sim_ns: clock.now().as_nanos(),
-    }
+    array_reads(k, |_, i| DiskAddress(i))
 }
 
 /// Seeded-random read batches over the whole K-arm address space.
 pub fn array_random(k: usize) -> RunDigest {
-    let (clock, trace, mut arr) = array(k, Placement::Hash);
-    let total = arr.geometry().expect("geometry").sector_count() as u64;
     let mut rng = SplitMix64::new(0xDE7E);
+    array_reads(k, move |total, _| {
+        DiskAddress((rng.next_u64() % total) as u16)
+    })
+}
+
+/// [`ARRAY_ROUNDS`] batches of [`ARRAY_BATCH`] reads on a hash-placed
+/// K-arm array; `pick(sectors, i)` names request `i`'s address.
+fn array_reads(k: usize, mut pick: impl FnMut(u64, u16) -> DiskAddress) -> RunDigest {
+    let (clock, trace, mut arr) = array(k, Placement::Hash, DiskModel::Diablo31);
+    let total = arr.geometry().expect("geometry").sector_count() as u64;
     let mut data = Fold::default();
     for _ in 0..ARRAY_ROUNDS {
         let mut batch: Vec<BatchRequest> = (0..ARRAY_BATCH)
-            .map(|_| {
-                let da = DiskAddress((rng.next_u64() % total) as u16);
-                BatchRequest::new(da, SectorOp::READ_ALL, SectorBuf::zeroed())
-            })
+            .map(|i| BatchRequest::new(pick(total, i), SectorOp::READ_ALL, SectorBuf::zeroed()))
             .collect();
         let results = arr.do_batch(&mut batch);
         for r in &results {
-            assert!(r.is_ok(), "array_random read failed: {r:?}");
+            assert!(r.is_ok(), "array read failed: {r:?}");
         }
         alto_disk::pool::recycle_results(results);
         for req in &batch {
             data.words(&req.buf.data);
         }
     }
-    RunDigest {
-        trace: digest_trace(&trace),
-        data: data.value(),
-        sim_ns: clock.now().as_nanos(),
-    }
+    run_digest(&clock, &trace, &data)
 }
 
 /// Populate a K-pack file system, then run a full scavenger rebuild —
 /// phases 1 and 3 sweep every pack in interleaved per-arm batches.
 pub fn array_scavenge(k: usize) -> RunDigest {
-    let (clock, trace, arr) = array(k, Placement::Range);
+    let (clock, trace, arr) = array(k, Placement::Range, DiskModel::Diablo31);
     let mut fs = FileSystem::format(arr).expect("format");
     let root = fs.root_dir();
     for i in 0..12 {
@@ -233,11 +218,7 @@ pub fn array_scavenge(k: usize) -> RunDigest {
             .expect("present");
         data.bytes(&fs.read_file(f).expect("read back"));
     }
-    RunDigest {
-        trace: digest_trace(&trace),
-        data: data.value(),
-        sim_ns: clock.now().as_nanos(),
-    }
+    run_digest(&clock, &trace, &data)
 }
 
 /// Fragment a K-pack file system, then compact it: the permutation's
@@ -248,7 +229,7 @@ pub fn array_scavenge(k: usize) -> RunDigest {
 pub fn array_compact(k: usize) -> RunDigest {
     const FILES: usize = 12;
     const ROUNDS: usize = 6;
-    let (clock, trace, arr) = array(k, Placement::Hash);
+    let (clock, trace, arr) = array(k, Placement::Hash, DiskModel::Diablo31);
     let mut fs = FileSystem::format(arr).expect("format");
     let root = fs.root_dir();
     let names: Vec<String> = (0..FILES).map(|i| format!("cmp-{i}.dat")).collect();
@@ -288,11 +269,7 @@ pub fn array_compact(k: usize) -> RunDigest {
             .expect("present");
         data.bytes(&fs.read_file(f).expect("read back"));
     }
-    RunDigest {
-        trace: digest_trace(&trace),
-        data: data.value(),
-        sim_ns: clock.now().as_nanos(),
-    }
+    run_digest(&clock, &trace, &data)
 }
 
 /// A full scripted-fleet server round: `clients` diskless clients open and
@@ -303,16 +280,7 @@ pub fn array_compact(k: usize) -> RunDigest {
 pub fn server_round(clients: usize, drives: usize) -> RunDigest {
     const FILES: usize = 16;
     const PAGES: u16 = 8;
-    let clock = SimClock::new();
-    let trace = Trace::new();
-    trace.set_enabled(true);
-    let arr = DriveArray::with_arms(
-        drives,
-        Placement::Range,
-        clock.clone(),
-        trace.clone(),
-        DiskModel::Trident,
-    );
+    let (clock, trace, arr) = array(drives, Placement::Range, DiskModel::Trident);
     let mut fs = FileSystem::format(arr).expect("format");
     let root = fs.root_dir();
     let names: Vec<String> = (0..FILES).map(|f| format!("det{f}.dat")).collect();
@@ -341,15 +309,88 @@ pub fn server_round(clients: usize, drives: usize) -> RunDigest {
     data.u64(server.stats.served);
     data.u64(server.stats.errors);
     data.u64(server.stats.send_failures);
-    RunDigest {
-        trace: digest_trace(&trace),
-        data: data.value(),
-        sim_ns: clock.now().as_nanos(),
-    }
+    run_digest(&clock, &trace, &data)
 }
 
-/// The standard suite: every `array_*` wall workload shape plus a fleet
-/// round, each run twice. `clients` sizes the fleet (the CI harness uses
+/// Every link chase in `fs`, `streams` and `core` on one Diablo 31 drive:
+/// a stale last-page hint, a cache-off directory scan, hint installation
+/// and rung-1 recovery, stream seeks both ways and a close after growth, a
+/// shrink, a delete, a scattered file read back, and pages served through
+/// the page service's chain walk. The data digest folds every answer.
+pub fn fs_walks() -> RunDigest {
+    fn note(data: &mut Fold, v: &dyn std::fmt::Debug) {
+        data.bytes(format!("{v:?}").as_bytes());
+    }
+    let (clock, trace, arr) = array(1, Placement::Range, DiskModel::Diablo31);
+    let mut fs = FileSystem::format(arr).expect("format");
+    let root = fs.root_dir();
+    let mut data = Fold::default();
+    // Forty entries spread the root directory over several pages.
+    let names: Vec<String> = (0..40).map(|i| format!("walk-{i:02}.dat")).collect();
+    let mut files = Vec::new();
+    for (i, name) in names.iter().enumerate() {
+        let f = dir::create_named_file(&mut fs, root, name).expect("create");
+        fs.write_file(f, &vec![(i * 13 % 251) as u8; (i % 13 + 1) * 512 - 3 * i])
+            .expect("write");
+        files.push(f);
+    }
+    // A last-page hint that names a page which is not the last.
+    let long = files[12];
+    let mut leader = fs.read_leader(long).expect("leader");
+    (leader.last_page, leader.last_da) = (3, DiskAddress(long.leader_da.0 + 3));
+    fs.write_leader(long, &leader).expect("leader");
+    note(&mut data, &fs.file_length(long));
+    fs.set_hint_cache_enabled(false);
+    note(&mut data, &dir::lookup(&mut fs, root, &names[37]));
+    note(&mut data, &dir::lookup(&mut fs, root, "absent.dat"));
+    fs.set_hint_cache_enabled(true);
+    // Hints for every 4th page, then rung 1 from a missing and a wrong hint.
+    let mut hints = PageHints::install(&mut fs, root, &names[12], 4).expect("install");
+    let mut stats = HintStats::default();
+    for (page, hint) in [(9, DiskAddress::NIL), (6, DiskAddress(2))] {
+        let found = resolve_page(&mut fs, &mut hints, page, hint, &mut stats).expect("resolve");
+        note(&mut data, &found);
+    }
+    // Seeks forwards and backwards, growth, and a close that has to find
+    // the new last page.
+    let mut s = DiskByteStream::open(&mut fs, long).expect("open");
+    let mut buf = [0u8; 100];
+    for pos in [9 * 512 + 5, 700, 13 * 512 - 36] {
+        s.set_position(&mut fs, pos).expect("seek");
+        note(&mut data, &(s.read_bytes(&mut fs, &mut buf), buf));
+    }
+    s.write_bytes(&mut fs, &[0x3C; 3000]).expect("grow");
+    s.set_position(&mut fs, 10).expect("seek back");
+    s.close(&mut fs).expect("close");
+    data.bytes(&fs.read_file(long).expect("read back"));
+    fs.write_file(files[5], &[5; 100]).expect("shrink");
+    fs.delete_file(files[7]).expect("delete");
+    // A scattered file read back, then served with stale consecutive guesses.
+    crate::scatter_file(&mut fs, files[10], 0x5CA7);
+    data.bytes(&fs.read_file(files[10]).expect("read scattered"));
+    note(&mut data, &fs.stats());
+    let mut service = FsPageService::new(&mut fs);
+    let open_id = service.open(&names[10]).expect("open").open_id;
+    let req = |page: u16| PageRequest {
+        open_id,
+        page,
+        tag: page.into(),
+    };
+    let mut failed = Vec::new();
+    for reqs in [[req(5), req(3)].as_slice(), &[req(6)]] {
+        service.serve(reqs, &mut failed, |tag, words| {
+            note(&mut data, &(tag, words));
+        });
+    }
+    note(
+        &mut data,
+        &(failed, service.fast_served, service.slow_served),
+    );
+    run_digest(&clock, &trace, &data)
+}
+
+/// The standard suite: every `array_*` wall workload shape, a fleet round
+/// and the one-drive chain walks, each run twice. `clients` sizes the fleet (the CI harness uses
 /// 1000; the in-tree regression test uses a smaller fleet to stay fast).
 pub fn standard_suite(k: usize, clients: usize) -> Vec<WorkloadReport> {
     vec![
@@ -358,5 +399,6 @@ pub fn standard_suite(k: usize, clients: usize) -> Vec<WorkloadReport> {
         repeat_run("array_scavenge", || array_scavenge(k)),
         repeat_run("array_compact", || array_compact(k)),
         repeat_run("server_round", || server_round(clients, k)),
+        repeat_run("fs_walks", fs_walks),
     ]
 }

@@ -10,7 +10,7 @@
 pub mod determinism;
 pub mod harness;
 
-use alto_disk::{DiskDrive, DiskModel};
+use alto_disk::{Disk, DiskDrive, DiskModel};
 use alto_fs::names::FileFullName;
 use alto_fs::{dir, FileSystem};
 use alto_sim::{SimClock, SplitMix64, Trace};
@@ -66,69 +66,47 @@ pub fn fragmented_fs(
 /// the worst-case scatter a disk can reach after months of editing. Links,
 /// leader hints and the allocation map are kept consistent (this is the
 /// inverse of the compacting scavenger).
-pub fn scatter_file(fs: &mut FileSystem<DiskDrive>, file: FileFullName, seed: u64) {
+pub fn scatter_file<D: Disk>(fs: &mut FileSystem<D>, file: FileFullName, seed: u64) {
     use alto_disk::DiskAddress;
-    use alto_fs::names::PageName;
 
     // Collect the whole chain.
     let mut pages = Vec::new();
-    let mut pn = file.leader_page();
-    loop {
-        let (label, data) = fs.read_page(pn).expect("read chain");
-        pages.push((pn.page, pn.da, label, data));
-        if label.next.is_nil() {
-            break;
-        }
-        pn = PageName::new(file.fv, pn.page + 1, label.next);
-    }
+    let lp = file.leader_page();
+    alto_fs::chain::to_end(fs.disk_mut(), lp, |pn, label, data| {
+        pages.push((pn, label, *data));
+    })
+    .expect("read chain");
     // Free the data pages (the leader stays, so the file's full name holds).
-    for (page, da, ..) in pages.iter().skip(1) {
-        fs.free_page(PageName::new(file.fv, *page, *da))
-            .expect("free");
+    for (pn, ..) in &pages[1..] {
+        fs.free_page(*pn).expect("free");
     }
-    // Pick random free homes for pages 1..n.
+    // Pick random free homes for pages 1..n; the leader keeps its own.
     let mut rng = SplitMix64::new(seed);
     let total = fs.descriptor().bitmap.len() as u64;
-    let mut new_das: Vec<DiskAddress> = Vec::new();
-    for _ in 1..pages.len() {
-        loop {
-            let cand = DiskAddress(rng.next_below(total) as u16);
-            if !fs.descriptor().bitmap.is_busy(cand) && !new_das.contains(&cand) {
-                new_das.push(cand);
-                break;
-            }
+    let mut homes = vec![file.leader_da];
+    while homes.len() < pages.len() {
+        let cand = DiskAddress(rng.next_below(total) as u16);
+        if !fs.descriptor().bitmap.is_busy(cand) && !homes.contains(&cand) {
+            homes.push(cand);
         }
     }
     // Re-create each page at its new home with the new links.
-    for i in 1..pages.len() {
-        let (page_no, _, mut label, data) = pages[i];
-        label.prev = if i == 1 {
-            file.leader_da
-        } else {
-            new_das[i - 2]
-        };
-        label.next = new_das.get(i).copied().unwrap_or(DiskAddress::NIL);
-        fs.descriptor_mut().bitmap.set_busy(new_das[i - 1]);
-        alto_fs::page::allocate_at(fs.disk_mut(), new_das[i - 1], label, &data)
-            .expect("re-place page");
-        let _ = page_no;
+    for (i, &(_, mut label, data)) in pages.iter().enumerate().skip(1) {
+        label.prev = homes[i - 1];
+        label.next = homes.get(i + 1).copied().unwrap_or(DiskAddress::NIL);
+        fs.descriptor_mut().bitmap.set_busy(homes[i]);
+        alto_fs::page::allocate_at(fs.disk_mut(), homes[i], label, &data).expect("re-place page");
     }
     // Fix the leader's next link and hints.
-    let (mut leader_label, leader_data) = fs.read_page(file.leader_page()).expect("leader");
-    leader_label.next = new_das[0];
-    alto_fs::page::rewrite_label(
-        fs.disk_mut(),
-        file.leader_page(),
-        leader_label,
-        &leader_data,
-    )
-    .expect("leader link");
+    let (mut leader_label, leader_data) = fs.read_page(lp).expect("leader");
+    leader_label.next = homes[1];
+    alto_fs::page::rewrite_label(fs.disk_mut(), lp, leader_label, &leader_data)
+        .expect("leader link");
     let mut leader = alto_fs::LeaderPage::decode(&leader_data);
-    leader.last_page = pages.last().unwrap().0;
-    leader.last_da = *new_das.last().unwrap();
+    leader.last_page = pages[pages.len() - 1].0.page;
+    leader.last_da = homes[homes.len() - 1];
     leader.maybe_consecutive = false;
-    fs.write_page(file.leader_page(), &leader.encode())
-        .expect("leader hints");
+    fs.write_page(lp, &leader.encode()).expect("leader hints");
 }
 
 /// Fills roughly `percent` of the disk with files of mixed sizes.
@@ -153,7 +131,6 @@ pub fn filled_fs(percent: u32, seed: u64) -> FileSystem<DiskDrive> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alto_disk::DiskAddress;
     use alto_fs::names::PageName;
 
     #[test]
@@ -163,18 +140,14 @@ mod tests {
         let root = fs.root_dir();
         let f = dir::lookup(&mut fs, root, &names[0]).unwrap().unwrap();
         let (leader, _) = fs.read_page(f.leader_page()).unwrap();
-        let mut da: DiskAddress = leader.next;
-        let mut page = 1;
         let mut gaps = Vec::new();
-        loop {
-            let (label, _) = fs.read_page(PageName::new(f.fv, page, da)).unwrap();
-            if label.next.is_nil() {
-                break;
+        let first = PageName::new(f.fv, 1, leader.next);
+        alto_fs::chain::to_end(fs.disk_mut(), first, |pn, label, _| {
+            if !label.next.is_nil() {
+                gaps.push((label.next.0 as i32 - pn.da.0 as i32).unsigned_abs());
             }
-            gaps.push((label.next.0 as i32 - da.0 as i32).unsigned_abs());
-            da = label.next;
-            page += 1;
-        }
+        })
+        .unwrap();
         let avg = gaps.iter().sum::<u32>() as f64 / gaps.len() as f64;
         assert!(avg > 3.0, "average gap {avg} too small to call fragmented");
     }

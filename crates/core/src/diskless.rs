@@ -13,10 +13,11 @@
 //! does have a disk.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 use alto_disk::{Disk, DiskAddress, DATA_WORDS};
 use alto_fs::file::PAGE_BYTES;
-use alto_fs::{dir, FileFullName, FileSystem, PageName};
+use alto_fs::{chain, dir, FileFullName, FileSystem, PageName};
 use alto_machine::{CodeFile, Machine, MachineError, Step};
 use alto_net::server::{
     OpenInfo, PageRequest, PageStore, STATUS_BAD_HANDLE, STATUS_BAD_PAGE, STATUS_IO,
@@ -325,30 +326,31 @@ impl<'a, D: Disk> FsPageService<'a, D> {
         }
         let file = open.file;
         let (leader_label, _) = self.fs.open_leader(file).map_err(|_| STATUS_IO)?;
-        let mut da = leader_label.next;
-        let mut data = None;
-        for p in 1..=page {
-            if da == DiskAddress::NIL {
-                return Err(STATUS_IO);
-            }
-            let (label, d) = self
-                .fs
-                .read_page(PageName::new(file.fv, p, da))
-                .map_err(|_| STATUS_IO)?;
+        if leader_label.next.is_nil() {
+            return Err(STATUS_IO);
+        }
+        let first = PageName::new(file.fv, 1, leader_label.next);
+        let hints = &mut self.opens[open_id as usize].hints;
+        chain::follow(self.fs.disk_mut(), first, |disk, pn| {
+            let (label, data) = alto_fs::page::read_page(disk, pn)?;
             // On a freshly scavenged pack the file may have fewer pages
             // than the open handle remembers; never index past the hint
             // vector a hostile history left short.
-            let open = &mut self.opens[open_id as usize];
-            if let Some(h) = open.hints.get_mut(p as usize - 1) {
-                *h = da;
+            if let Some(h) = hints.get_mut(pn.page as usize - 1) {
+                *h = pn.da;
             }
-            if let Some(h) = open.hints.get_mut(p as usize) {
+            if let Some(h) = hints.get_mut(pn.page as usize) {
                 *h = label.next;
             }
-            da = label.next;
-            data = Some(d);
-        }
-        data.ok_or(STATUS_IO)
+            Ok(if pn.page == page {
+                ControlFlow::Break(data)
+            } else {
+                ControlFlow::Continue(label)
+            })
+        })
+        .ok()
+        .and_then(ControlFlow::break_value)
+        .ok_or(STATUS_IO)
     }
 }
 

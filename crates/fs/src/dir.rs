@@ -26,13 +26,15 @@
 //!
 //! Names are matched case-insensitively (ASCII), as on the Alto.
 
+use std::ops::ControlFlow;
+
 use alto_disk::{Disk, DiskAddress};
 
 use crate::errors::FsError;
-use crate::file::PAGE_BYTES;
-use crate::file::{bytes_to_words, unpack_bytes, words_to_bytes, CacheLookup, FileSystem};
+use crate::file::{append_page, bytes_to_words, words_to_bytes, CacheLookup, FileSystem};
 use crate::leader::MAX_LEADER_NAME;
 use crate::names::{FileFullName, Fv, PageName, SerialNumber};
+use crate::{chain, page};
 
 /// One directory entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,37 +182,22 @@ fn scan_for_name<D: Disk>(
         return Ok(None);
     }
     let mut bytes = Vec::new();
-    let mut pn = PageName::new(dir.fv, 1, leader_label.next);
-    // A hostile directory chain cannot be longer than the disk has
-    // sectors; walking past that is a cycle, not a long directory.
-    let mut budget = fs.disk().geometry()?.sector_count() + 2;
-    loop {
-        let (label, data) = fs.read_page(pn)?;
-        if label.length as usize > PAGE_BYTES {
-            return Err(FsError::BadLength(label.length));
-        }
-        bytes.extend_from_slice(&unpack_bytes(&data)[..label.length as usize]);
+    let first = PageName::new(dir.fv, 1, leader_label.next);
+    let found = chain::follow(fs.disk_mut(), first, |disk, pn| {
+        let (label, data) = page::read_page(disk, pn)?;
+        append_page(&mut bytes, label, &data)?;
         // Parse what has arrived so far; an entry cut off at the page
         // boundary looks malformed, stops the parse, and is retried whole
         // when the next page's bytes land.
-        if let Some(e) = parse_entries(&bytes)
+        let hit = parse_entries(&bytes)
             .into_iter()
-            .find(|e| names_equal(&e.name, name))
-        {
-            return Ok(Some(e.file));
-        }
-        if label.next.is_nil() {
-            return Ok(None);
-        }
-        if budget == 0 {
-            return Err(FsError::Corrupt {
-                da: pn.da,
-                what: "link cycle",
-            });
-        }
-        budget -= 1;
-        pn = PageName::new(dir.fv, pn.page + 1, label.next);
-    }
+            .find(|e| names_equal(&e.name, name));
+        Ok(match hit {
+            Some(e) => ControlFlow::Break(e.file),
+            None => ControlFlow::Continue(label),
+        })
+    })?;
+    Ok(found.break_value())
 }
 
 /// Inserts (or replaces) the entry `name -> file` in `dir`.

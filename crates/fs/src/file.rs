@@ -17,9 +17,13 @@
 //! leaves a stale map on disk, which is exactly the state the Scavenger
 //! (and the label checks in the meantime) are designed to survive.
 
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+
 use alto_disk::{Disk, DiskAddress, DiskError, Label, DATA_WORDS};
 
 use crate::cache::{casefold, CacheStats, HintCache};
+use crate::chain;
 use crate::dates::AltoDate;
 use crate::descriptor::{self, DiskDescriptor};
 use crate::dir::DirEntry;
@@ -731,26 +735,13 @@ impl<D: Disk> FileSystem<D> {
 
     /// Deletes the entire file, freeing every page (§3.2).
     pub fn delete_file(&mut self, file: FileFullName) -> Result<(), FsError> {
-        // Collect the chain first (labels are the source of truth).
-        let mut chain = vec![];
-        let mut pn = file.leader_page();
-        let mut budget = self.chain_budget()?;
-        loop {
-            let (label, _) = self.read_page(pn)?;
-            chain.push(pn);
-            if label.next.is_nil() {
-                break;
-            }
-            if budget == 0 {
-                return Err(FsError::Corrupt {
-                    da: pn.da,
-                    what: "link cycle",
-                });
-            }
-            budget -= 1;
-            pn = PageName::new(file.fv, pn.page + 1, label.next);
-        }
-        for pn in chain {
+        // Read the whole chain before freeing anything (labels are the
+        // source of truth): a broken link fails the delete untouched.
+        let mut pages = vec![];
+        chain::to_end(&mut self.disk, file.leader_page(), |pn, _, _| {
+            pages.push(pn);
+        })?;
+        for pn in pages {
             self.free_page(pn)?;
         }
         self.cache.forget_leader(file.fv);
@@ -770,32 +761,8 @@ impl<D: Disk> FileSystem<D> {
                 }
             }
         }
-        // Chase links from the leader.
-        let mut pn = PageName::new(file.fv, 1, leader_label.next);
-        let mut budget = self.chain_budget()?;
-        loop {
-            let (label, _) = self.read_page(pn)?;
-            if label.next.is_nil() {
-                return Ok((pn, label));
-            }
-            if budget == 0 {
-                return Err(FsError::Corrupt {
-                    da: pn.da,
-                    what: "link cycle",
-                });
-            }
-            budget -= 1;
-            pn = PageName::new(file.fv, pn.page + 1, label.next);
-        }
-    }
-
-    /// Step budget for a link chase: a well-formed chain can never be
-    /// longer than the disk has sectors, so any walk that exceeds this is
-    /// structurally cyclic and must surface as corruption instead of
-    /// spinning (the §3.3 page-number check already terminates honest
-    /// chains; this is the belt to that suspender).
-    fn chain_budget(&self) -> Result<u32, FsError> {
-        Ok(self.disk.geometry()?.sector_count() + 2)
+        let first = PageName::new(file.fv, 1, leader_label.next);
+        chain::to_end(&mut self.disk, first, |_, _, _| {})
     }
 
     /// Rewrites file contents page by page. Ordinary writes where the label
@@ -1014,22 +981,14 @@ impl<D: Disk> FileSystem<D> {
 
     /// Frees the chain of pages starting at `(fv, first_page)` @ `da`.
     fn free_chain(&mut self, fv: Fv, first_page: u16, da: DiskAddress) -> Result<(), FsError> {
-        let mut pn = PageName::new(fv, first_page, da);
-        let mut budget = self.chain_budget()?;
-        loop {
-            let old = self.free_page(pn)?;
-            if old.next.is_nil() {
-                return Ok(());
-            }
-            if budget == 0 {
-                return Err(FsError::Corrupt {
-                    da: pn.da,
-                    what: "link cycle",
-                });
-            }
-            budget -= 1;
-            pn = PageName::new(fv, pn.page + 1, old.next);
-        }
+        let start = PageName::new(fv, first_page, da);
+        chain::follow(&mut self.disk, start, |disk, pn| {
+            let old = page::free_page(disk, pn)?;
+            self.desc.bitmap.set_free(pn.da);
+            self.stats.pages_freed += 1;
+            Ok(ControlFlow::<Infallible, _>::Continue(old))
+        })
+        .map(drop)
     }
 }
 
@@ -1074,10 +1033,7 @@ pub(crate) fn read_file_with<D: Disk>(
                 let j = j as u16;
                 match res {
                     Ok((label, data)) => {
-                        if label.length as usize > PAGE_BYTES {
-                            return Err(FsError::BadLength(label.length));
-                        }
-                        bytes.extend_from_slice(&unpack_bytes(&data)[..label.length as usize]);
+                        append_page(&mut bytes, label, &data)?;
                         if label.next.is_nil() {
                             return Ok(bytes);
                         }
@@ -1121,25 +1077,25 @@ pub(crate) fn read_file_with<D: Disk>(
         }
     }
 
-    let mut budget = disk.geometry()?.sector_count() + 2;
-    loop {
+    chain::follow(disk, pn, |disk, pn| {
         let (label, data) = page::read_page(disk, pn)?;
-        if label.length as usize > PAGE_BYTES {
-            return Err(FsError::BadLength(label.length));
-        }
-        bytes.extend_from_slice(&unpack_bytes(&data)[..label.length as usize]);
-        if label.next.is_nil() {
-            return Ok(bytes);
-        }
-        if budget == 0 {
-            return Err(FsError::Corrupt {
-                da: pn.da,
-                what: "link cycle",
-            });
-        }
-        budget -= 1;
-        pn = PageName::new(file.fv, pn.page + 1, label.next);
+        append_page(&mut bytes, label, &data)?;
+        Ok(ControlFlow::<Infallible, _>::Continue(label))
+    })
+    .map(|_| bytes)
+}
+
+/// Appends a page's data bytes (its label's length of them) to `bytes`.
+pub(crate) fn append_page(
+    bytes: &mut Vec<u8>,
+    label: Label,
+    data: &[u16; DATA_WORDS],
+) -> Result<(), FsError> {
+    if label.length as usize > PAGE_BYTES {
+        return Err(FsError::BadLength(label.length));
     }
+    bytes.extend_from_slice(&unpack_bytes(data)[..label.length as usize]);
+    Ok(())
 }
 
 /// Packs bytes into page words, big-endian (byte 0 in the high byte).

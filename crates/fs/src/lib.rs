@@ -18,6 +18,8 @@
 //!   leader names ([`leader::LeaderPage`]);
 //! * directories — ordinary files holding (string, full name) pairs,
 //!   forming an arbitrary directed graph ([`dir`]);
+//! * links — one walker follows a file's chain from any known page
+//!   ([`chain`]);
 //! * hints — the five-step recovery ladder of §3.6 ([`hints`]), and the
 //!   in-core hint cache that makes the same discipline the primary
 //!   performance mechanism ([`cache`]);
@@ -33,6 +35,7 @@
 
 pub mod alloc;
 pub mod cache;
+pub mod chain;
 pub mod compact;
 pub mod dates;
 pub mod descriptor;

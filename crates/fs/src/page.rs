@@ -206,11 +206,6 @@ pub fn read_raw<D: Disk>(
 /// One page's outcome within a batch: its verified label and data.
 pub type PageResult = Result<(Label, [u16; DATA_WORDS]), FsError>;
 
-/// What [`drain_and_prefetch`] hands back: the parked writes' captured
-/// labels (in `writes` order) and the guessed reads' results (in page
-/// order).
-pub type DrainOutcome = (Vec<Result<Label, FsError>>, Vec<PageResult>);
-
 /// Reads many raw sectors as one chained batch — the Scavenger's sweep
 /// primitive. Passing a whole cylinder's sectors lets the drive service
 /// them in rotational order, in about two revolutions instead of one
@@ -408,34 +403,11 @@ pub fn write_pages<D: Disk>(
 /// Unlike [`write_pages_guessed`] the write addresses are not guesses (the
 /// stream verified each page's label when it loaded it), so this is safe
 /// for any file; the check still arbitrates if the medium changed since.
-/// Returns the writes' captured labels in `writes` order and the reads'
-/// results in page order. An empty `writes` or a zero `read_count` simply
-/// shrinks the batch.
-pub fn drain_and_prefetch<D: Disk>(
-    disk: &mut D,
-    fv: Fv,
-    writes: &[(u16, DiskAddress, [u16; DATA_WORDS])],
-    read_start: Option<PageName>,
-    read_count: u16,
-) -> Result<DrainOutcome, FsError> {
-    let mut write_out = Vec::with_capacity(writes.len());
-    let mut read_out = Vec::with_capacity(read_count as usize);
-    drain_and_prefetch_into(
-        disk,
-        fv,
-        writes,
-        read_start,
-        read_count,
-        &mut write_out,
-        &mut read_out,
-    )?;
-    Ok((write_out, read_out))
-}
-
-/// [`drain_and_prefetch`] with caller-provided output storage: clears and
-/// fills `write_out` and `read_out` instead of allocating them, so a stream
-/// that drains every few pages can reuse the same vectors forever (the
-/// request batch itself comes from [`pool`]). Same semantics otherwise.
+/// Fills `write_out` with the writes' captured labels in `writes` order and
+/// `read_out` with the reads' results in page order, clearing both first, so
+/// a stream that drains every few pages reuses the same vectors forever (the
+/// request batch itself comes from [`pool`]). An empty `writes` or a zero
+/// `read_count` simply shrinks the batch.
 #[allow(clippy::too_many_arguments)]
 pub fn drain_and_prefetch_into<D: Disk>(
     disk: &mut D,
@@ -845,7 +817,9 @@ mod tests {
             (2u16, DiskAddress(41), [0xBBu16; DATA_WORDS]),
         ];
         let start = PageName::new(fv(), 3, DiskAddress(42));
-        let (wrote, read) = drain_and_prefetch(&mut d, fv(), &writes, Some(start), 2).unwrap();
+        let (mut wrote, mut read) = (vec![], vec![]);
+        drain_and_prefetch_into(&mut d, fv(), &writes, Some(start), 2, &mut wrote, &mut read)
+            .unwrap();
         assert!(wrote.iter().all(std::result::Result::is_ok));
         let (l3, d3) = read[0].as_ref().unwrap();
         assert_eq!(l3.page_number, 3);
@@ -884,7 +858,8 @@ mod tests {
                 (2u16, DiskAddress(41), [0xA2u16; DATA_WORDS]),
                 (3u16, DiskAddress(42), [0xA3u16; DATA_WORDS]),
             ];
-            let (wrote, read) = drain_and_prefetch(&mut d, fv(), &writes, None, 0).unwrap();
+            let (mut wrote, mut read) = (vec![], vec![]);
+            drain_and_prefetch_into(&mut d, fv(), &writes, None, 0, &mut wrote, &mut read).unwrap();
             let elapsed = d.clock().now() - t0;
             assert!(read.is_empty());
             let labels: Vec<Label> = wrote.into_iter().map(std::result::Result::unwrap).collect();
@@ -930,7 +905,8 @@ mod tests {
             (1u16, DiskAddress(40), [0xB1u16; DATA_WORDS]),
             (2u16, DiskAddress(41), [0xB2u16; DATA_WORDS]),
         ];
-        let (wrote, _) = drain_and_prefetch(&mut d, fv(), &writes, None, 0).unwrap();
+        let (mut wrote, mut read) = (vec![], vec![]);
+        drain_and_prefetch_into(&mut d, fv(), &writes, None, 0, &mut wrote, &mut read).unwrap();
         assert!(wrote.iter().all(std::result::Result::is_ok));
         assert_eq!(wrote[1].as_ref().unwrap().page_number, 2);
         let s = d.stats();

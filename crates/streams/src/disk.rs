@@ -32,7 +32,10 @@
 //! a label rewrite is a check pass plus a write pass on one sector and
 //! cannot chain.
 
+use std::ops::ControlFlow;
+
 use alto_disk::{Disk, DiskAddress, Label, UnparkOutcome, DATA_WORDS};
+use alto_fs::chain;
 use alto_fs::file::PAGE_BYTES;
 use alto_fs::names::FileFullName;
 use alto_fs::{FileSystem, FsError, PageName};
@@ -161,52 +164,47 @@ impl<D: Disk> DiskByteStream<D> {
     /// operation). Positions up to and including the end are valid.
     pub fn set_position(&mut self, fs: &mut FileSystem<D>, pos: u64) -> Result<(), StreamError> {
         self.check_open()?;
-        let target_page = (pos / PAGE_BYTES as u64) as u16 + 1;
+        let past_end = |page, last| StreamError::Fs(FsError::PastEnd { page, last });
+        // Page numbers are 16 bits: a page past the largest is past the end
+        // of any file, whose last page is at least the current one.
+        let target_page = u16::try_from(pos / PAGE_BYTES as u64 + 1)
+            .map_err(|_| past_end(u16::MAX, self.page))?;
         let mut target_offset = (pos % PAGE_BYTES as u64) as usize;
         if target_page != self.page {
             self.flush(fs)?;
             // Walk from the current page if the target is ahead, else from
             // page 1 via the leader.
-            let (mut page, mut da) = if target_page > self.page {
-                (self.page, self.da)
+            let start = if target_page > self.page {
+                PageName::new(self.file.fv, self.page, self.da)
             } else {
                 let (leader_label, _) = fs.open_leader(self.file)?;
-                (1, leader_label.next)
+                PageName::new(self.file.fv, 1, leader_label.next)
             };
-            loop {
-                let pn = PageName::new(self.file.fv, page, da);
-                let (label, buffer) = fs.read_page(pn)?;
+            let walked = chain::follow(fs.disk_mut(), start, |disk, pn| {
+                let (label, data) = alto_fs::page::read_page(disk, pn)?;
                 // The end of a file whose last page is full lies just past
                 // that page: land at the end of the page itself.
-                let full_end = page + 1 == target_page
+                let full_end = pn.page == target_page - 1
                     && target_offset == 0
                     && label.next.is_nil()
                     && label.length as usize == PAGE_BYTES;
-                if full_end {
-                    target_offset = PAGE_BYTES;
-                }
-                if page == target_page || full_end {
-                    self.page = page;
-                    self.da = da;
-                    self.label = label;
-                    self.buffer = buffer;
-                    break;
-                }
-                if label.next.is_nil() {
-                    return Err(StreamError::Fs(FsError::PastEnd {
-                        page: target_page,
-                        last: page,
-                    }));
-                }
-                page += 1;
-                da = label.next;
+                Ok(if pn.page == target_page || full_end {
+                    ControlFlow::Break((pn, label, data, full_end))
+                } else {
+                    ControlFlow::Continue(label)
+                })
+            })?;
+            let (pn, label, buffer, full_end) = match walked {
+                ControlFlow::Break(found) => found,
+                ControlFlow::Continue((last, _)) => return Err(past_end(target_page, last.page)),
+            };
+            if full_end {
+                target_offset = PAGE_BYTES;
             }
+            self.land(pn.page, pn.da, label, buffer);
         }
         if target_offset > self.label.length as usize {
-            return Err(StreamError::Fs(FsError::PastEnd {
-                page: target_page,
-                last: self.page,
-            }));
+            return Err(past_end(target_page, self.page));
         }
         self.offset = target_offset;
         Ok(())
@@ -371,12 +369,13 @@ impl<D: Disk> DiskByteStream<D> {
     ) -> Result<(), StreamError> {
         let pn = PageName::new(self.file.fv, page, da);
         let (label, buffer) = fs.read_page(pn)?;
-        self.page = page;
-        self.da = da;
-        self.label = label;
-        self.buffer = buffer;
-        self.offset = 0;
+        self.land(page, da, label, buffer);
         Ok(())
+    }
+
+    /// Makes `(page, da)` the current page, positioned at its first byte.
+    fn land(&mut self, page: u16, da: DiskAddress, label: Label, buffer: [u16; DATA_WORDS]) {
+        (self.page, self.da, self.label, self.buffer, self.offset) = (page, da, label, buffer, 0);
     }
 
     /// Moves to `(page, da)`, serving from the readahead buffer when it is
@@ -409,11 +408,7 @@ impl<D: Disk> DiskByteStream<D> {
             }
             let (p, d, label, buffer) = self.readahead.remove(i);
             fs.disk_mut().note_readahead(1, 0);
-            self.page = p;
-            self.da = d;
-            self.label = label;
-            self.buffer = buffer;
-            self.offset = 0;
+            self.land(p, d, label, buffer);
             return Ok(());
         }
         self.readahead.clear();
@@ -464,11 +459,7 @@ impl<D: Disk> DiskByteStream<D> {
                         if prefetched > 0 {
                             fs.disk_mut().note_readahead(0, prefetched);
                         }
-                        self.page = page;
-                        self.da = da;
-                        self.label = label;
-                        self.buffer = buffer;
-                        self.offset = 0;
+                        self.land(page, da, label, buffer);
                         return Ok(());
                     }
                     drop(drained);
@@ -692,16 +683,15 @@ impl<D: Disk> DiskByteStream<D> {
         self.flush(fs)?;
         if self.resized {
             // Find the file's last page (usually the current one).
-            let (mut page, mut da, mut label) = (self.page, self.da, self.label);
-            while !label.next.is_nil() {
-                page += 1;
-                da = label.next;
-                let (l, _) = fs.read_page(PageName::new(self.file.fv, page, da))?;
-                label = l;
-            }
+            let last = if self.label.next.is_nil() {
+                PageName::new(self.file.fv, self.page, self.da)
+            } else {
+                let next = PageName::new(self.file.fv, self.page + 1, self.label.next);
+                chain::to_end(fs.disk_mut(), next, |_, _, _| {})?.0
+            };
             let mut leader = fs.read_leader(self.file)?;
-            leader.last_page = page;
-            leader.last_da = da;
+            leader.last_page = last.page;
+            leader.last_da = last.da;
             leader.written = fs.now();
             fs.write_leader(self.file, &leader)?;
             self.resized = false;
@@ -786,7 +776,8 @@ impl<D: Disk> DiskWordStream<D> {
 
     /// Seeks to a word position (non-standard operation).
     pub fn set_position(&mut self, fs: &mut FileSystem<D>, words: u64) -> Result<(), StreamError> {
-        self.inner.set_position(fs, words * 2)
+        // Saturates, so a word count past any file stays past its end.
+        self.inner.set_position(fs, words.saturating_mul(2))
     }
 }
 
@@ -944,6 +935,30 @@ mod tests {
         assert_eq!(s.get_byte(&mut fs), Err(StreamError::EndOfStream));
         // Past the end: error.
         assert!(s.set_position(&mut fs, 3000).is_err());
+    }
+
+    #[test]
+    fn a_position_beyond_the_last_page_number_is_past_the_end() {
+        // Page numbers are 16 bits: a position whose page does not fit
+        // must not wrap onto a low page or overflow the page arithmetic.
+        let mut fs = fresh_fs();
+        let f = file_named(&mut fs, "h.dat");
+        fs.write_file(f, &[9; 100]).unwrap();
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        for pos in [65536 * 512 + 10, 65535 * 512, u64::MAX] {
+            let r = s.set_position(&mut fs, pos);
+            assert!(
+                matches!(r, Err(StreamError::Fs(FsError::PastEnd { .. }))),
+                "{pos}: {r:?}"
+            );
+            assert_eq!(s.position(), 0);
+        }
+        let mut w = DiskWordStream::open(&mut fs, f).unwrap();
+        let r = w.set_position(&mut fs, u64::MAX / 2 + 1);
+        assert!(
+            matches!(r, Err(StreamError::Fs(FsError::PastEnd { .. }))),
+            "{r:?}"
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! shapes sized for debug-mode `cargo test`.
 
 use alto_bench::determinism::{
-    array_compact, array_random, array_scavenge, array_seq, repeat_run, server_round, RunDigest,
+    array_compact, array_random, array_scavenge, array_seq, fs_walks, repeat_run, server_round,
+    RunDigest,
 };
 
 #[test]
@@ -69,6 +70,23 @@ fn absolute_digests_hold_with_and_without_audit() {
             trace: 249_131_935_492_017_097,
             data: 3_648_097_143_548_785_406,
             sim_ns: 32_656_389_517,
+        }
+    );
+}
+
+/// Every link chase in `fs`, `streams` and `core`. Recorded before the
+/// chases were folded into `fs::chain`; the walker must reproduce each
+/// one's disk operations in order, with and without `ALTO_AUDIT=1`.
+#[test]
+fn fs_walks_digest_holds_with_and_without_audit() {
+    let r = repeat_run("fs_walks", fs_walks);
+    assert!(r.identical(), "{}", r.describe());
+    assert_eq!(
+        r.first,
+        RunDigest {
+            trace: 1_558_402_240_391_300_642,
+            data: 3_537_184_012_268_092_681,
+            sim_ns: 76_716_658_995,
         }
     );
 }
