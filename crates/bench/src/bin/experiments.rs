@@ -19,8 +19,8 @@
 use alto_bench::{consecutive_file, filled_fs, fragmented_fs, fresh_fs, scatter_file};
 use alto_disk::{Disk, DiskAddress, DiskDrive, DiskModel};
 use alto_fs::compact::Compactor;
-use alto_fs::hints::{guess_consecutive, resolve_page, HintOutcome, HintStats, PageHints};
-use alto_fs::{dir, FileSystem, Scavenger};
+use alto_fs::hints::{resolve_page, HintOutcome, HintStats, PageHints};
+use alto_fs::{dir, FileSystem, LeaderPage, PageMap, PageName, Scavenger};
 use alto_machine::Machine;
 use alto_net::{receive_file, Ether};
 use alto_os::{AltoOs, MESSAGE_WORDS};
@@ -695,17 +695,18 @@ fn e9_consecutive_guess() {
             let f = consecutive_file(&mut fs, "cons.dat", 30);
             (fs, f, clock)
         };
-        // Learn page 1's address.
-        let (leader, _) = fs.read_page(file.leader_page()).unwrap();
-        let p1 = leader.next;
+        // Learn page 1's address, and the last page's to bound the file.
+        let (label, data) = fs.read_page(file.leader_page()).unwrap();
+        let leader = LeaderPage::decode(&data);
+        let known = [(1, label.next), (leader.last_page, leader.last_da)];
+        // Assume the file is consecutive, whatever the leader says: each
+        // guess is one checked read at page 1's address plus `j - 1`.
+        let map = PageMap::new(file, &known, true);
         let mut hits = 0;
         let tries = 25;
         let t0 = clock.now();
         for j in 2..2 + tries {
-            if guess_consecutive(&mut fs, file.fv, (1, p1), j)
-                .unwrap()
-                .is_some()
-            {
+            if fs.read_page(PageName::new(file.fv, j, map.hint(j))).is_ok() {
                 hits += 1;
             }
         }

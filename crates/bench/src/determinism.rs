@@ -312,11 +312,12 @@ pub fn server_round(clients: usize, drives: usize) -> RunDigest {
     run_digest(&clock, &trace, &data)
 }
 
-/// Every link chase in `fs`, `streams` and `core` on one Diablo 31 drive:
-/// a stale last-page hint, a cache-off directory scan, hint installation
-/// and rung-1 recovery, stream seeks both ways and a close after growth, a
-/// shrink, a delete, a scattered file read back, and pages served through
-/// the page service's chain walk. The data digest folds every answer.
+/// Every link chase and page lookup in `fs`, `streams` and `core` on one
+/// Diablo 31 drive: a stale last-page hint, a cache-off directory scan,
+/// hint installation and rung-1 recovery, stream seeks both ways and a
+/// close after growth, a shrink, a delete, a scattered file read back, and
+/// pages served through the page service's slow path. The data digest
+/// folds every answer.
 pub fn fs_walks() -> RunDigest {
     fn note(data: &mut Fold, v: &dyn std::fmt::Debug) {
         data.bytes(format!("{v:?}").as_bytes());

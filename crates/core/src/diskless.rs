@@ -13,11 +13,10 @@
 //! does have a disk.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::ControlFlow;
 
-use alto_disk::{Disk, DiskAddress, DATA_WORDS};
+use alto_disk::{Disk, DATA_WORDS};
 use alto_fs::file::PAGE_BYTES;
-use alto_fs::{chain, dir, FileFullName, FileSystem, PageName};
+use alto_fs::{dir, FileFullName, FileSystem, PageMap, PageName};
 use alto_machine::{CodeFile, Machine, MachineError, Step};
 use alto_net::server::{
     OpenInfo, PageRequest, PageStore, STATUS_BAD_HANDLE, STATUS_BAD_PAGE, STATUS_IO,
@@ -265,16 +264,17 @@ impl<'a, D: Disk> BootServer<'a, D> {
     }
 }
 
-/// One file held open on behalf of the fleet: its identity plus the
-/// per-page disk-address hints the service has learned so far.
+/// One file held open on behalf of the fleet: its identity, its size at
+/// the last open, and where its pages are.
 #[derive(Debug)]
 struct ServedFile {
     file: FileFullName,
-    /// `hints[p - 1]` is the best-known address of data page `p`; seeded
-    /// with consecutive guesses from the leader's `next` pointer (§3.6 —
-    /// a wrong guess costs a check miss, never wrong data) and corrected
-    /// from the labels every served batch captures.
-    hints: Vec<DiskAddress>,
+    /// Data pages, as measured at the last open.
+    pages: u16,
+    /// Seeded from the leader (§3.6 — a wrong guess costs a check miss,
+    /// never wrong data) and corrected from the labels every served batch
+    /// captures.
+    map: PageMap,
 }
 
 /// The disk end of the page server: an [`alto_net::PageStore`] over a real
@@ -282,21 +282,21 @@ struct ServedFile {
 /// the hint cache behind them); batches are sorted by hinted disk address
 /// across *all* clients and issued through the zero-copy chained read
 /// path, so requests landing on neighbouring sectors ride one command
-/// chain regardless of which client asked. Pages whose hints went stale
-/// fall back to a leader-chain walk, relearning the hints as they go.
+/// chain regardless of which client asked. A page whose hint went stale is
+/// located on its file's page map, from the nearest page the map still
+/// trusts, relearning the hints as it goes.
 #[derive(Debug)]
 pub struct FsPageService<'a, D: Disk> {
     fs: &'a mut FileSystem<D>,
     opens: Vec<ServedFile>,
     by_name: BTreeMap<String, u32>,
-    // Scratch, reused across serve calls.
-    order: Vec<usize>,
+    // Scratch, reused across serve calls: the well-formed requests, named
+    // and sorted by hinted address, and the names alone for the batch.
+    valid: Vec<(PageName, PageRequest)>,
     names: Vec<PageName>,
-    sorted_names: Vec<PageName>,
-    valid: Vec<PageRequest>,
     /// Pages served through the batched fast path.
     pub fast_served: u64,
-    /// Pages that needed the chain-walk slow path (stale hints).
+    /// Pages that needed the slow path: a stale hint, then a locate.
     pub slow_served: u64,
 }
 
@@ -307,95 +307,48 @@ impl<'a, D: Disk> FsPageService<'a, D> {
             fs,
             opens: Vec::new(),
             by_name: BTreeMap::new(),
-            order: Vec::new(),
-            names: Vec::new(),
-            sorted_names: Vec::new(),
             valid: Vec::new(),
+            names: Vec::new(),
             fast_served: 0,
             slow_served: 0,
         }
     }
 
-    /// Reads page `page` by walking the leader chain from the front —
-    /// the §3.6 recovery path when hints are wrong — relearning every
-    /// hint on the way. Returns the page's data.
-    fn chain_walk(&mut self, open_id: u32, page: u16) -> Result<[u16; DATA_WORDS], u16> {
-        let open = self.opens.get(open_id as usize).ok_or(STATUS_BAD_HANDLE)?;
-        if page == 0 {
-            return Err(STATUS_BAD_PAGE);
-        }
-        let file = open.file;
-        let (leader_label, _) = self.fs.open_leader(file).map_err(|_| STATUS_IO)?;
-        if leader_label.next.is_nil() {
-            return Err(STATUS_IO);
-        }
-        let first = PageName::new(file.fv, 1, leader_label.next);
-        let hints = &mut self.opens[open_id as usize].hints;
-        chain::follow(self.fs.disk_mut(), first, |disk, pn| {
-            let (label, data) = alto_fs::page::read_page(disk, pn)?;
-            // On a freshly scavenged pack the file may have fewer pages
-            // than the open handle remembers; never index past the hint
-            // vector a hostile history left short.
-            if let Some(h) = hints.get_mut(pn.page as usize - 1) {
-                *h = pn.da;
-            }
-            if let Some(h) = hints.get_mut(pn.page as usize) {
-                *h = label.next;
-            }
-            Ok(if pn.page == page {
-                ControlFlow::Break(data)
-            } else {
-                ControlFlow::Continue(label)
-            })
-        })
-        .ok()
-        .and_then(ControlFlow::break_value)
-        .ok_or(STATUS_IO)
+    /// The file system under the service, for the serving machine's own
+    /// programs: a write through it can move pages the open files' maps
+    /// know, which their checked reads then catch.
+    pub fn fs_mut(&mut self) -> &mut FileSystem<D> {
+        self.fs
     }
 }
 
 impl<'a, D: Disk> PageStore for FsPageService<'a, D> {
     fn open(&mut self, name: &str) -> Result<OpenInfo, u16> {
-        if let Some(&open_id) = self.by_name.get(name) {
-            // Re-measure on every re-open: a scavenge between opens can
-            // shrink or grow the file, and sizing from the stale hint
-            // vector would underflow the last-page length below.
-            let file = self.opens[open_id as usize].file;
-            let length = self.fs.file_length(file).map_err(|_| STATUS_IO)?;
-            let pages = length.div_ceil(PAGE_BYTES as u64).max(1) as u16;
-            let last_len = (length - (pages as u64 - 1) * PAGE_BYTES as u64) as u16;
-            let open = &mut self.opens[open_id as usize];
-            open.hints.resize(pages as usize, DiskAddress::NIL);
-            return Ok(OpenInfo {
-                open_id,
-                pages,
-                last_len,
-            });
-        }
-        let root = self.fs.root_dir();
-        let file = dir::lookup(self.fs, root, name)
-            .map_err(|_| STATUS_IO)?
-            .ok_or(STATUS_NO_SUCH_FILE)?;
-        let (leader_label, _) = self.fs.open_leader(file).map_err(|_| STATUS_IO)?;
+        // A new name resolves through the directory and leader; a re-open
+        // re-measures, since a scavenge between opens can shrink or grow
+        // the file.
+        let (open_id, file, map) = match self.by_name.get(name) {
+            Some(&open_id) => (open_id, self.opens[open_id as usize].file, None),
+            None => {
+                let root = self.fs.root_dir();
+                let file = dir::lookup(self.fs, root, name)
+                    .map_err(|_| STATUS_IO)?
+                    .ok_or(STATUS_NO_SUCH_FILE)?;
+                let (leader_label, leader) = self.fs.open_leader(file).map_err(|_| STATUS_IO)?;
+                let map = PageMap::open(file, leader_label, &leader);
+                (self.opens.len() as u32, file, Some(map))
+            }
+        };
         let length = self.fs.file_length(file).map_err(|_| STATUS_IO)?;
         let pages = length.div_ceil(PAGE_BYTES as u64).max(1) as u16;
         let last_len = (length - (pages as u64 - 1) * PAGE_BYTES as u64) as u16;
-        // Seed the hints with consecutive guesses from page 1's address:
-        // allocation strives for consecutive pages, and the label check
-        // turns any wrong guess into a clean per-page miss.
-        let first = leader_label.next;
-        let hints = (0..pages)
-            .map(|p| {
-                if first == DiskAddress::NIL {
-                    DiskAddress::NIL
-                } else {
-                    DiskAddress(first.0.wrapping_add(p))
-                }
-            })
-            .collect();
-        let open_id = self.opens.len() as u32;
-        self.opens.push(ServedFile { file, hints });
-        self.by_name.insert(name.to_string(), open_id);
+        match map {
+            Some(map) => {
+                self.opens.push(ServedFile { file, pages, map });
+                self.by_name.insert(name.to_string(), open_id);
+            }
+            None => self.opens[open_id as usize].pages = pages,
+        }
         Ok(OpenInfo {
             open_id,
             pages,
@@ -410,66 +363,57 @@ impl<'a, D: Disk> PageStore for FsPageService<'a, D> {
         // Refuse ill-formed requests up front — a forged open id or a page
         // number outside the open file (page 0 is the leader, never
         // served) must fail with a status, not index out of bounds. Only
-        // well-formed requests enter the batch.
+        // well-formed requests enter the batch, named at their hinted
+        // addresses.
         let mut valid = std::mem::take(&mut self.valid);
         valid.clear();
         for r in reqs {
             match self.opens.get(r.open_id as usize) {
                 None => failed.push((r.tag, STATUS_BAD_HANDLE)),
-                Some(open) if r.page == 0 || r.page as usize > open.hints.len() => {
+                Some(open) if r.page == 0 || r.page > open.pages => {
                     failed.push((r.tag, STATUS_BAD_PAGE));
                 }
-                Some(_) => valid.push(*r),
+                Some(open) => {
+                    let name = PageName::new(open.file.fv, r.page, open.map.hint(r.page));
+                    valid.push((name, *r));
+                }
             }
         }
 
-        // Name every request at its hinted address, then sort the batch by
-        // disk address across clients — the whole point: neighbouring
-        // sectors coalesce into one command chain no matter who asked.
+        // Sort the batch by disk address across clients — the whole point:
+        // neighbouring sectors coalesce into one command chain no matter
+        // who asked.
+        valid.sort_by_key(|(name, _)| name.da.0);
         self.names.clear();
-        self.names.extend(valid.iter().map(|r| {
-            let open = &self.opens[r.open_id as usize];
-            PageName::new(open.file.fv, r.page, open.hints[r.page as usize - 1])
-        }));
-        self.order.clear();
-        self.order.extend(0..valid.len());
-        let names = &self.names;
-        self.order.sort_by_key(|&i| names[i].da.0);
-        self.sorted_names.clear();
-        self.sorted_names
-            .extend(self.order.iter().map(|&i| names[i]));
+        self.names.extend(valid.iter().map(|&(name, _)| name));
 
         let fast = &mut self.fast_served;
         let opens = &mut self.opens;
-        let order = &self.order;
         let labels = alto_fs::page::read_pages_zero_copy(
             self.fs.disk_mut(),
-            &self.sorted_names,
+            &self.names,
             |k, label, view| {
-                let i = order[k];
-                let r = &valid[i];
+                let r = valid[k].1;
                 *fast += 1;
                 // Learn the next page's address from the captured label.
-                let open = &mut opens[r.open_id as usize];
-                if (r.page as usize) < open.hints.len() {
-                    open.hints[r.page as usize] = label.next;
-                }
+                opens[r.open_id as usize].map.learn(r.page + 1, label.next);
                 deliver(r.tag, view.data());
             },
         );
-        // Stale hints (or real faults): walk the chain from the leader.
+        // Stale hints (or real faults): locate the page on the map.
         for (k, res) in labels.iter().enumerate() {
             if res.is_ok() {
                 continue;
             }
-            let i = self.order[k];
-            let r = valid[i];
-            match self.chain_walk(r.open_id, r.page) {
-                Ok(data) => {
+            let (name, r) = valid[k];
+            let map = &mut self.opens[r.open_id as usize].map;
+            map.miss(r.page, name.da);
+            match map.locate(self.fs.disk_mut(), r.page) {
+                Ok(found) if found.pn.page == r.page => {
                     self.slow_served += 1;
-                    deliver(r.tag, &data);
+                    deliver(r.tag, &found.data);
                 }
-                Err(status) => failed.push((r.tag, status)),
+                _ => failed.push((r.tag, STATUS_IO)),
             }
         }
         alto_fs::pool::recycle_labels(labels);

@@ -29,6 +29,7 @@ use crate::descriptor::{self, DiskDescriptor};
 use crate::dir::DirEntry;
 use crate::errors::FsError;
 use crate::leader::LeaderPage;
+use crate::map::PageMap;
 use crate::names::{FileFullName, Fv, PageName, SerialNumber};
 use crate::page;
 use crate::pool;
@@ -663,8 +664,12 @@ impl<D: Disk> FileSystem<D> {
     /// The file's length in data bytes, computed from the last page's label
     /// (the leader hint is used and validated).
     pub fn file_length(&mut self, file: FileFullName) -> Result<u64, FsError> {
-        let (last_pn, last_label) = self.locate_last_page(file)?;
-        Ok((last_pn.page as u64 - 1) * PAGE_BYTES as u64 + last_label.length as u64)
+        let (label, leader) = self.open_leader(file)?;
+        let last = PageMap::open(file, label, &leader).locate(&mut self.disk, u16::MAX)?;
+        match last.pn.page {
+            0 => Err(FsError::PageNotFound(file.page(1))),
+            n => Ok((n as u64 - 1) * PAGE_BYTES as u64 + last.label.length as u64),
+        }
     }
 
     /// Reads the entire contents of `file`.
@@ -746,23 +751,6 @@ impl<D: Disk> FileSystem<D> {
         }
         self.cache.forget_leader(file.fv);
         Ok(())
-    }
-
-    /// Walks to the last page, preferring the leader hint and falling back
-    /// to a link chase from the leader.
-    fn locate_last_page(&mut self, file: FileFullName) -> Result<(PageName, Label), FsError> {
-        let (leader_label, leader) = self.open_leader(file)?;
-        // Try the hint.
-        if leader.last_page > 0 && !leader.last_da.is_nil() {
-            let pn = PageName::new(file.fv, leader.last_page, leader.last_da);
-            if let Ok((label, _)) = self.read_page(pn) {
-                if label.next.is_nil() {
-                    return Ok((pn, label));
-                }
-            }
-        }
-        let first = PageName::new(file.fv, 1, leader_label.next);
-        chain::to_end(&mut self.disk, first, |_, _, _| {})
     }
 
     /// Rewrites file contents page by page. Ordinary writes where the label

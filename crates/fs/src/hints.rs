@@ -18,12 +18,8 @@
 //! automatic recovery done right, and [`HintStats`] lets the experiments
 //! report the cost of each rung (experiment E5).
 //!
-//! The same module provides the consecutive-file guess of §3.6: "a program
-//! is free to assume that a file is consecutive and, knowing the address
-//! `aᵢ` of page `i`, to compute the address of page `j` as `aᵢ + j - i`.
-//! The label check will prevent any incorrect overwriting of data."
-
-use std::ops::ControlFlow;
+//! Rung 1 and [`PageHints::install`] find pages through a [`PageMap`], the
+//! one page locator, which also makes the consecutive-file guess of §3.6.
 
 use alto_disk::{Disk, DiskAddress, DATA_WORDS};
 use alto_sim::SimTime;
@@ -31,9 +27,9 @@ use alto_sim::SimTime;
 use crate::dir;
 use crate::errors::FsError;
 use crate::file::FileSystem;
+use crate::map::{Located, PageMap};
 use crate::names::{FileFullName, Fv, PageName};
 use crate::scavenge::Scavenger;
-use crate::{chain, page};
 
 /// Which rung of the ladder finally produced the page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,7 +114,9 @@ impl PageHints {
         }
     }
 
-    /// Builds hints for every `k`-th page by walking the file once.
+    /// Builds hints for every `k`-th page by locating each one: one
+    /// checked read apiece on a consecutive file, one walk down the chain
+    /// otherwise.
     pub fn install<D: Disk>(
         fs: &mut FileSystem<D>,
         directory: FileFullName,
@@ -131,14 +129,18 @@ impl PageHints {
         if k > 0 {
             // The lookup's verification read primed the leader cache, so
             // this costs no disk revolution on the warm path.
-            let (leader_label, _) = fs.open_leader(file)?;
-            if !leader_label.next.is_nil() {
-                let first = PageName::new(file.fv, 1, leader_label.next);
-                chain::to_end(fs.disk_mut(), first, |pn, _, _| {
-                    if pn.page.is_multiple_of(k) {
-                        every_kth.push((pn.page, pn.da));
-                    }
-                })?;
+            let (leader_label, leader) = fs.open_leader(file)?;
+            let mut map = PageMap::open(file, leader_label, &leader);
+            let mut p = k;
+            loop {
+                let found = map.locate(fs.disk_mut(), p)?;
+                if found.pn.page == p {
+                    every_kth.push((p, found.pn.da));
+                }
+                match p.checked_add(k) {
+                    Some(next) if !found.label.next.is_nil() => p = next,
+                    _ => break,
+                }
             }
         }
         Ok(PageHints {
@@ -148,17 +150,6 @@ impl PageHints {
             every_kth,
             k,
         })
-    }
-
-    /// The best starting point at or below `page`: the highest hinted page
-    /// not beyond it.
-    fn best_start(&self, page: u16) -> (u16, DiskAddress) {
-        self.every_kth
-            .iter()
-            .copied()
-            .filter(|(p, _)| *p <= page)
-            .max_by_key(|(p, _)| *p)
-            .unwrap_or((0, self.file.leader_da))
     }
 
     /// Serializes the hints to words for a state file.
@@ -267,8 +258,9 @@ fn resolve_inner<D: Disk>(
     }
 
     // Rung 1: follow links from a known-good portion of the file.
-    if let Some((data, pn, hops)) = chase_links(fs, hints, page) {
-        return Ok((data, pn, HintOutcome::LinkChase { hops }));
+    if let Some(found) = from_hints(fs, hints, page) {
+        let hops = u32::from(found.hops);
+        return Ok((found.data, found.pn, HintOutcome::LinkChase { hops }));
     }
 
     // Rung 2: FV lookup in the directory (fixes a stale leader address).
@@ -276,8 +268,8 @@ fn resolve_inner<D: Disk>(
     if let Ok(Some(found)) = dir::lookup_fv(fs, hints.directory, hints.file.fv) {
         hints.file = found;
         hints.every_kth = vec![(0, found.leader_da)];
-        if let Some((data, pn, _)) = chase_links(fs, hints, page) {
-            return Ok((data, pn, HintOutcome::DirectoryLookup));
+        if let Some(found) = from_hints(fs, hints, page) {
+            return Ok((found.data, found.pn, HintOutcome::DirectoryLookup));
         }
     }
 
@@ -286,8 +278,8 @@ fn resolve_inner<D: Disk>(
         if found.fv != hints.file.fv || found.leader_da != hints.file.leader_da {
             hints.file = found;
             hints.every_kth = vec![(0, found.leader_da)];
-            if let Some((data, pn, _)) = chase_links(fs, hints, page) {
-                return Ok((data, pn, HintOutcome::StringLookup));
+            if let Some(found) = from_hints(fs, hints, page) {
+                return Ok((found.data, found.pn, HintOutcome::StringLookup));
             }
         }
     }
@@ -304,8 +296,8 @@ fn resolve_inner<D: Disk>(
     if let Some(found) = dir::lookup(fs, dir_to_search, &hints.name.clone())? {
         hints.file = found;
         hints.every_kth = vec![(0, found.leader_da)];
-        if let Some((data, pn, _)) = chase_links(fs, hints, page) {
-            return Ok((data, pn, HintOutcome::Scavenged));
+        if let Some(found) = from_hints(fs, hints, page) {
+            return Ok((found.data, found.pn, HintOutcome::Scavenged));
         }
     }
     Err(FsError::PageNotFound(PageName::new(
@@ -315,48 +307,13 @@ fn resolve_inner<D: Disk>(
     )))
 }
 
-/// Follows links from the best hinted starting page to `page`. Any failed
-/// check, or the end of the chain, means this rung does not apply.
-fn chase_links<D: Disk>(
-    fs: &mut FileSystem<D>,
-    hints: &PageHints,
-    page: u16,
-) -> Option<([u16; DATA_WORDS], PageName, u32)> {
-    let (at, da) = hints.best_start(page);
-    let start = PageName::new(hints.file.fv, at, da);
-    chain::follow(fs.disk_mut(), start, |disk, pn| {
-        let (label, data) = page::read_page(disk, pn)?;
-        Ok(if pn.page == page {
-            ControlFlow::Break((data, pn, u32::from(page - at)))
-        } else {
-            ControlFlow::Continue(label)
-        })
-    })
-    .ok()?
-    .break_value()
-}
-
-/// The §3.6 consecutive-file guess: compute page `j`'s address from page
-/// `i`'s as `aᵢ + (j - i)` and try it; the label check makes a wrong guess
-/// harmless. Returns the data if the guess was right.
-pub fn guess_consecutive<D: Disk>(
-    fs: &mut FileSystem<D>,
-    fv: Fv,
-    known: (u16, DiskAddress),
-    target: u16,
-) -> Result<Option<[u16; DATA_WORDS]>, FsError> {
-    let (i, ai) = known;
-    let guessed = ai.0 as i32 + target as i32 - i as i32;
-    if guessed < 0 || guessed >= u16::MAX as i32 {
-        return Ok(None);
-    }
-    let pn = PageName::new(fv, target, DiskAddress(guessed as u16));
-    match fs.read_page(pn) {
-        Ok((_, data)) => Ok(Some(data)),
-        Err(FsError::Disk(alto_disk::DiskError::Check(_))) => Ok(None),
-        Err(FsError::Disk(alto_disk::DiskError::InvalidAddress(_))) => Ok(None),
-        Err(e) => Err(e),
-    }
+/// Locates `page` on a map of the installed hints alone, which learns
+/// nothing that outlives the call. A failed check at every start, or the
+/// end of the chain, means the rung does not apply.
+fn from_hints<D: Disk>(fs: &mut FileSystem<D>, hints: &PageHints, page: u16) -> Option<Located> {
+    let mut map = PageMap::new(hints.file, &hints.every_kth, false);
+    let found = map.locate(fs.disk_mut(), page).ok()?;
+    (found.pn.page == page).then_some(found)
 }
 
 #[cfg(test)]
@@ -489,34 +446,6 @@ mod tests {
         let mut stats = HintStats::default();
         let err = resolve_page(&mut fs, &mut hints, 40, DiskAddress::NIL, &mut stats);
         assert!(matches!(err, Err(FsError::PageNotFound(_))));
-    }
-
-    #[test]
-    fn consecutive_guess_hits_on_consecutive_files() {
-        let mut fs = fresh_fs();
-        let f = file_with_pages(&mut fs, "c.dat", 8);
-        // Freshly written files allocate near-consecutively; find page 1
-        // and guess page 4 from it.
-        let (l0, _) = fs.read_page(f.leader_page()).unwrap();
-        let p1 = PageName::new(f.fv, 1, l0.next);
-        let (l1, _) = fs.read_page(p1).unwrap();
-        // Verify the premise (consecutive layout) before asserting on it.
-        assert_eq!(l1.next.0, p1.da.0 + 1, "fresh file should be consecutive");
-        let hit = guess_consecutive(&mut fs, f.fv, (1, p1.da), 4).unwrap();
-        assert!(hit.is_some());
-    }
-
-    #[test]
-    fn consecutive_guess_misses_safely() {
-        let mut fs = fresh_fs();
-        let f = file_with_pages(&mut fs, "c.dat", 3);
-        // Guess far past the file: lands on some other sector; the label
-        // check rejects it and nothing is damaged.
-        let miss = guess_consecutive(&mut fs, f.fv, (1, DiskAddress(100)), 2000).unwrap();
-        assert!(miss.is_none());
-        // Out-of-range guesses are also safe.
-        let miss = guess_consecutive(&mut fs, f.fv, (1, DiskAddress(60000)), 10000).unwrap();
-        assert!(miss.is_none());
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * directories — ordinary files holding (string, full name) pairs,
 //!   forming an arbitrary directed graph ([`dir`]);
 //! * links — one walker follows a file's chain from any known page
-//!   ([`chain`]);
+//!   ([`chain`]), and one page map says where each page of an open file
+//!   is ([`map`]);
 //! * hints — the five-step recovery ladder of §3.6 ([`hints`]), and the
 //!   in-core hint cache that makes the same discipline the primary
 //!   performance mechanism ([`cache`]);
@@ -46,6 +47,7 @@ pub mod hints;
 pub mod hostile;
 pub mod journal;
 pub mod leader;
+pub mod map;
 pub mod names;
 pub mod page;
 pub mod pool;
@@ -58,5 +60,6 @@ pub use errors::FsError;
 pub use file::{FileSystem, FsStats};
 pub use hints::{HintOutcome, HintStats, PageHints};
 pub use leader::LeaderPage;
+pub use map::{Located, PageMap};
 pub use names::{FileFullName, Fv, PageName, SerialNumber};
 pub use scavenge::{ScavengeReport, Scavenger};

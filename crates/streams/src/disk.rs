@@ -32,13 +32,10 @@
 //! a label rewrite is a check pass plus a write pass on one sector and
 //! cannot chain.
 
-use std::ops::ControlFlow;
-
 use alto_disk::{Disk, DiskAddress, Label, UnparkOutcome, DATA_WORDS};
-use alto_fs::chain;
 use alto_fs::file::PAGE_BYTES;
 use alto_fs::names::FileFullName;
-use alto_fs::{FileSystem, FsError, PageName};
+use alto_fs::{FileSystem, FsError, PageMap, PageName};
 
 use crate::errors::StreamError;
 use crate::Stream;
@@ -85,9 +82,9 @@ pub struct DiskByteStream<D: Disk> {
     /// leader hints.
     resized: bool,
     closed: bool,
-    /// Leader hint: the file's pages may sit at consecutive addresses, so
-    /// guessed readahead batches are worth issuing.
-    consecutive_hint: bool,
+    /// Where the file's pages are: seeded from the leader, taught every
+    /// page the stream lands on, and used by seeks and close.
+    map: PageMap,
     /// Pages prefetched beyond the current one: `(page, da, label, data)`.
     readahead: Vec<(u16, DiskAddress, Label, [u16; DATA_WORDS])>,
     /// The disk's [`Disk::write_epoch`] as of this stream's own last drain
@@ -132,6 +129,8 @@ impl<D: Disk> DiskByteStream<D> {
         let pn = PageName::new(file.fv, 1, da);
         let (label, buffer) = fs.read_page(pn)?;
         let medium_epoch = fs.disk().write_epoch();
+        let mut map = PageMap::open(file, leader_label, &leader);
+        map.learn(2, label.next);
         Ok(DiskByteStream {
             file,
             page: 1,
@@ -143,7 +142,7 @@ impl<D: Disk> DiskByteStream<D> {
             label_changed: false,
             resized: false,
             closed: false,
-            consecutive_hint: leader.maybe_consecutive,
+            map,
             readahead: crate::pool::readahead_vec(),
             medium_epoch,
             write_behind: crate::pool::parked_vec(),
@@ -172,36 +171,19 @@ impl<D: Disk> DiskByteStream<D> {
         let mut target_offset = (pos % PAGE_BYTES as u64) as usize;
         if target_page != self.page {
             self.flush(fs)?;
-            // Walk from the current page if the target is ahead, else from
-            // page 1 via the leader.
-            let start = if target_page > self.page {
-                PageName::new(self.file.fv, self.page, self.da)
-            } else {
-                let (leader_label, _) = fs.open_leader(self.file)?;
-                PageName::new(self.file.fv, 1, leader_label.next)
-            };
-            let walked = chain::follow(fs.disk_mut(), start, |disk, pn| {
-                let (label, data) = alto_fs::page::read_page(disk, pn)?;
+            let found = self.map.locate(fs.disk_mut(), target_page)?;
+            if found.pn.page != target_page {
                 // The end of a file whose last page is full lies just past
                 // that page: land at the end of the page itself.
-                let full_end = pn.page == target_page - 1
+                let full_end = found.pn.page == target_page - 1
                     && target_offset == 0
-                    && label.next.is_nil()
-                    && label.length as usize == PAGE_BYTES;
-                Ok(if pn.page == target_page || full_end {
-                    ControlFlow::Break((pn, label, data, full_end))
-                } else {
-                    ControlFlow::Continue(label)
-                })
-            })?;
-            let (pn, label, buffer, full_end) = match walked {
-                ControlFlow::Break(found) => found,
-                ControlFlow::Continue((last, _)) => return Err(past_end(target_page, last.page)),
-            };
-            if full_end {
+                    && found.label.length as usize == PAGE_BYTES;
+                if !full_end {
+                    return Err(past_end(target_page, found.pn.page));
+                }
                 target_offset = PAGE_BYTES;
             }
-            self.land(pn.page, pn.da, label, buffer);
+            self.land(found.pn.page, found.pn.da, found.label, found.data);
         }
         if target_offset > self.label.length as usize {
             return Err(past_end(target_page, self.page));
@@ -254,32 +236,41 @@ impl<D: Disk> DiskByteStream<D> {
     /// ordinary data write at its known address whose label check must
     /// pass before the value transfers (§3.3), so a conflicting foreign
     /// change surfaces as an error here rather than corrupting anything.
-    /// The batch bumps the write epoch once for this stream's purposes:
-    /// its own readahead stays valid (the parked pages all lie behind the
-    /// read cursor), so the epoch is re-stamped after the drain.
     fn drain(&mut self, fs: &mut FileSystem<D>) -> Result<(), StreamError> {
         if self.write_behind.is_empty() {
             return Ok(());
         }
+        self.drain_and_prefetch(fs, None)
+    }
+
+    /// Drains the parked pages and, with `prefetch`, reads
+    /// [`READAHEAD_PAGES`] pages from it at guessed-consecutive addresses
+    /// into `read_results`, all in one chained batch. The batch bumps the
+    /// write epoch once for this stream's purposes: its own readahead stays
+    /// valid (the parked pages all lie behind the read cursor), so the
+    /// epoch is re-stamped after the drain.
+    fn drain_and_prefetch(
+        &mut self,
+        fs: &mut FileSystem<D>,
+        prefetch: Option<PageName>,
+    ) -> Result<(), StreamError> {
         // Swap the parked pages into the warm double buffer (and the warm
-        // output vectors out of self) so a steady-state drain reuses the
+        // output vector out of self) so a steady-state drain reuses the
         // same storage every time.
         let mut writes = std::mem::replace(
             &mut self.write_behind,
             std::mem::take(&mut self.drain_scratch),
         );
         let mut write_results = std::mem::take(&mut self.write_results);
-        let mut read_results = std::mem::take(&mut self.read_results);
         let outcome = alto_fs::page::drain_and_prefetch_into(
             fs.disk_mut(),
             self.file.fv,
             &writes,
-            None,
-            0,
+            prefetch,
+            READAHEAD_PAGES,
             &mut write_results,
-            &mut read_results,
+            &mut self.read_results,
         );
-        self.read_results = read_results;
         if let Err(e) = outcome {
             // Pre-flight failure: the batch never reached the disk,
             // so every parked page is still owed.
@@ -287,7 +278,9 @@ impl<D: Disk> DiskByteStream<D> {
             self.write_results = write_results;
             return Err(e.into());
         }
-        fs.disk_mut().note_write_behind(writes.len() as u64);
+        if !writes.is_empty() {
+            fs.disk_mut().note_write_behind(writes.len() as u64);
+        }
         self.medium_epoch = fs.disk().write_epoch();
         let result = self.repark_failed(fs, &writes, &mut write_results);
         writes.clear();
@@ -373,8 +366,11 @@ impl<D: Disk> DiskByteStream<D> {
         Ok(())
     }
 
-    /// Makes `(page, da)` the current page, positioned at its first byte.
+    /// Makes `(page, da)` the current page, positioned at its first byte,
+    /// and teaches the map where it and its successor are.
     fn land(&mut self, page: u16, da: DiskAddress, label: Label, buffer: [u16; DATA_WORDS]) {
+        self.map.learn(page, da);
+        self.map.learn(page + 1, label.next);
         (self.page, self.da, self.label, self.buffer, self.offset) = (page, da, label, buffer, 0);
     }
 
@@ -412,131 +408,54 @@ impl<D: Disk> DiskByteStream<D> {
             return Ok(());
         }
         self.readahead.clear();
-        if self.consecutive_hint {
-            let mut writes = std::mem::replace(
-                &mut self.write_behind,
-                std::mem::take(&mut self.drain_scratch),
-            );
-            let mut write_results = std::mem::take(&mut self.write_results);
+        if self.map.consecutive() {
+            self.drain_and_prefetch(fs, Some(PageName::new(self.file.fv, page, da)))?;
             let mut entries = std::mem::take(&mut self.read_results);
-            match alto_fs::page::drain_and_prefetch_into(
-                fs.disk_mut(),
-                self.file.fv,
-                &writes,
-                Some(PageName::new(self.file.fv, page, da)),
-                READAHEAD_PAGES,
-                &mut write_results,
-                &mut entries,
-            ) {
-                Ok(()) => {
-                    if !writes.is_empty() {
-                        fs.disk_mut().note_write_behind(writes.len() as u64);
+            let mut drained = entries.drain(..);
+            if let Some(Ok((label, buffer))) = drained.next() {
+                // Keep followers only while the verified links confirm the
+                // guessed consecutive run.
+                let mut expect_next = label.next;
+                let mut prefetched = 0u64;
+                for (j, entry) in drained.enumerate() {
+                    let Ok((l, d)) = entry else { break };
+                    let guess = DiskAddress(da.0.wrapping_add(j as u16 + 1));
+                    if expect_next != guess {
+                        break;
                     }
-                    self.medium_epoch = fs.disk().write_epoch();
-                    let reparked = self.repark_failed(fs, &writes, &mut write_results);
-                    writes.clear();
-                    self.drain_scratch = writes;
-                    self.write_results = write_results;
-                    reparked?;
-                    let mut drained = entries.drain(..);
-                    let first = drained.next();
-                    if let Some(Ok((label, buffer))) = first {
-                        // Keep followers only while the verified links
-                        // confirm the guessed consecutive run.
-                        let mut expect_next = label.next;
-                        let mut prefetched = 0u64;
-                        for (j, entry) in drained.enumerate() {
-                            let Ok((l, d)) = entry else { break };
-                            let guess = DiskAddress(da.0.wrapping_add(j as u16 + 1));
-                            if expect_next != guess {
-                                break;
-                            }
-                            self.readahead.push((page + j as u16 + 1, guess, l, d));
-                            prefetched += 1;
-                            expect_next = l.next;
-                        }
-                        self.read_results = entries;
-                        if prefetched > 0 {
-                            fs.disk_mut().note_readahead(0, prefetched);
-                        }
-                        self.land(page, da, label, buffer);
-                        return Ok(());
-                    }
-                    drop(drained);
-                    self.read_results = entries;
-                    // Entry 0 failed: the hint chain is authoritative
-                    // there, so let the ordinary path (with its hint
-                    // recovery) handle it. The drain already happened.
+                    self.readahead.push((page + j as u16 + 1, guess, l, d));
+                    prefetched += 1;
+                    expect_next = l.next;
                 }
-                Err(e) => {
-                    // The batch never reached the disk (pre-flight error):
-                    // nothing landed, so the parked pages are still owed.
-                    self.drain_scratch = std::mem::replace(&mut self.write_behind, writes);
-                    self.write_results = write_results;
-                    self.read_results = entries;
-                    return Err(e.into());
+                self.read_results = entries;
+                if prefetched > 0 {
+                    fs.disk_mut().note_readahead(0, prefetched);
                 }
+                self.land(page, da, label, buffer);
+                return Ok(());
             }
+            drop(drained);
+            self.read_results = entries;
+            // Entry 0 failed: the hint chain is authoritative there, so let
+            // the ordinary path (with its hint recovery) handle it. The
+            // drain already happened.
         }
         self.drain(fs)?;
         self.load_page(fs, page, da)
     }
 
-    fn byte_at(&self, i: usize) -> u8 {
-        let w = self.buffer[i / 2];
-        if i.is_multiple_of(2) {
-            (w >> 8) as u8
-        } else {
-            w as u8
-        }
-    }
-
-    fn set_byte(&mut self, i: usize, b: u8) {
-        let w = &mut self.buffer[i / 2];
-        if i.is_multiple_of(2) {
-            *w = (*w & 0x00FF) | ((b as u16) << 8);
-        } else {
-            *w = (*w & 0xFF00) | b as u16;
-        }
-    }
-
     /// Gets the next byte.
     pub fn get_byte(&mut self, fs: &mut FileSystem<D>) -> Result<u8, StreamError> {
-        self.check_open()?;
-        loop {
-            if self.offset < self.label.length as usize {
-                let b = self.byte_at(self.offset);
-                self.offset += 1;
-                return Ok(b);
-            }
-            // At the end of this page's data.
-            if (self.label.length as usize) < PAGE_BYTES || self.label.next.is_nil() {
-                return Err(StreamError::EndOfStream);
-            }
-            self.advance_to_next_page(fs)?;
+        let mut b = [0];
+        match self.read_bytes(fs, &mut b)? {
+            0 => Err(StreamError::EndOfStream),
+            _ => Ok(b[0]),
         }
     }
 
     /// Puts a byte at the current position (overwriting or extending).
     pub fn put_byte(&mut self, fs: &mut FileSystem<D>, b: u8) -> Result<(), StreamError> {
-        self.check_open()?;
-        if self.offset == PAGE_BYTES {
-            // Page full: move to (or create) the next page.
-            if self.label.next.is_nil() {
-                self.extend(fs)?;
-            } else {
-                self.advance_to_next_page(fs)?;
-            }
-        }
-        self.set_byte(self.offset, b);
-        self.offset += 1;
-        self.dirty = true;
-        if self.offset > self.label.length as usize {
-            self.label.length = self.offset as u16;
-            self.label_changed = true;
-            self.resized = true;
-        }
-        Ok(())
+        self.write_bytes(fs, &[b])
     }
 
     /// Copies `out.len()` bytes out of `words` starting at byte `start`.
@@ -665,6 +584,7 @@ impl<D: Disk> DiskByteStream<D> {
         // The current page's next link changes: rewrite its label along
         // with the buffered data (one revolution, §3.3).
         self.label.next = new_da;
+        self.map.learn(self.page + 1, new_da);
         let pn = PageName::new(self.file.fv, self.page, self.da);
         alto_fs::page::rewrite_label(fs.disk_mut(), pn, self.label, &self.buffer)?;
         self.dirty = false;
@@ -686,8 +606,7 @@ impl<D: Disk> DiskByteStream<D> {
             let last = if self.label.next.is_nil() {
                 PageName::new(self.file.fv, self.page, self.da)
             } else {
-                let next = PageName::new(self.file.fv, self.page + 1, self.label.next);
-                chain::to_end(fs.disk_mut(), next, |_, _, _| {})?.0
+                self.map.locate(fs.disk_mut(), u16::MAX)?.pn
             };
             let mut leader = fs.read_leader(self.file)?;
             leader.last_page = last.page;

@@ -74,9 +74,10 @@ fn absolute_digests_hold_with_and_without_audit() {
     );
 }
 
-/// Every link chase in `fs`, `streams` and `core`. Recorded before the
-/// chases were folded into `fs::chain`; the walker must reproduce each
-/// one's disk operations in order, with and without `ALTO_AUDIT=1`.
+/// Every link chase and page lookup in `fs`, `streams` and `core`, the
+/// lookups through the file's `fs::PageMap`. A change to where a walk
+/// starts or what the map learns shows up here. The same values hold with
+/// and without `ALTO_AUDIT=1`.
 #[test]
 fn fs_walks_digest_holds_with_and_without_audit() {
     let r = repeat_run("fs_walks", fs_walks);
@@ -84,9 +85,9 @@ fn fs_walks_digest_holds_with_and_without_audit() {
     assert_eq!(
         r.first,
         RunDigest {
-            trace: 1_558_402_240_391_300_642,
-            data: 3_537_184_012_268_092_681,
-            sim_ns: 76_716_658_995,
+            trace: 12_823_715_373_884_367_140,
+            data: 17_101_054_087_947_489_125,
+            sim_ns: 75_036_659_163,
         }
     );
 }
