@@ -11,8 +11,9 @@
 //! registers)".
 
 use alto_disk::{Disk, DiskAddress, Label, DATA_WORDS};
+use alto_fs::chain::{self, Layout};
 use alto_fs::descriptor::{boot_fv, BOOT_PAGE_DA};
-use alto_fs::file::{bytes_to_words, unpack_bytes, words_to_bytes};
+use alto_fs::file::{append_page, bytes_to_words, words_to_bytes};
 use alto_fs::leader::LeaderPage;
 use alto_fs::names::{FileFullName, PageName};
 use alto_fs::{dir, page};
@@ -106,40 +107,17 @@ impl<D: Disk> AltoOs<D> {
         }
         let fv = alto_fs::names::Fv::from_label(&label);
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&unpack_bytes(&data)[..label.length as usize]);
+        append_page(&mut bytes, label, &data)?;
         // Installs lay the state image out consecutively, so the boot
-        // loader makes the §3.6 guess: batch reads at next, next+1, … and
-        // let each sector's label check reject a wrong guess. The links in
-        // the captured labels steer recovery, so a scattered boot file
-        // still loads — it just pays a revolution per jump.
-        const BOOT_GUESS: u16 = 32;
-        let mut next = label.next;
-        let mut page_no = 1u16;
-        'chain: while !next.is_nil() {
-            let first = next;
-            let results = page::read_pages_guessed(
-                disk,
-                fv,
-                PageName::new(fv, page_no + 1, first),
-                BOOT_GUESS,
-            )?;
-            for (j, res) in results.into_iter().enumerate() {
-                match res {
-                    Ok((label, data)) => {
-                        bytes.extend_from_slice(&unpack_bytes(&data)[..label.length as usize]);
-                        page_no += 1;
-                        next = label.next;
-                        let guessed = DiskAddress(first.0.wrapping_add(j as u16 + 1));
-                        if next.is_nil() || next != guessed {
-                            continue 'chain;
-                        }
-                    }
-                    // Entry 0's address came from a real link; its failure
-                    // is authoritative. Later entries were guesses.
-                    Err(e) if j == 0 => return Err(e.into()),
-                    Err(_) => continue 'chain,
-                }
-            }
+        // loader reads the rest as one straight line (§3.6) and lets each
+        // sector's label check reject a wrong guess. The links in the
+        // verified labels steer the read back on course, so a boot file
+        // with seams still loads — it just pays for each jump.
+        if !label.next.is_nil() {
+            let rest = PageName::new(fv, 2, label.next);
+            chain::read_guessed(disk, rest, Layout::Straight, None, |_, label, data| {
+                append_page(&mut bytes, label, data)
+            })?;
         }
         let state = MachineState::decode(&bytes_to_words(&bytes))?;
         state.restore(&mut self.machine);
@@ -268,5 +246,94 @@ mod tests {
         assert_eq!(os.machine.mem.read(0o3000), 99);
         assert_eq!(os.machine.pc, 0);
         assert_eq!(os.machine.ac[1], 0);
+    }
+
+    /// The boot file's pages, in chain order from page 1.
+    fn boot_pages(os: &mut AltoOs) -> Vec<(PageName, Label, [u16; DATA_WORDS])> {
+        let mut pages = vec![];
+        let page1 = PageName::new(boot_fv(), 1, BOOT_PAGE_DA);
+        alto_fs::chain::to_end(os.fs.disk_mut(), page1, |pn, label, data| {
+            pages.push((pn, label, *data));
+        })
+        .unwrap();
+        pages
+    }
+
+    /// Rewrites boot page `page`'s label to claim 600 data bytes.
+    fn overlong(os: &mut AltoOs, page: usize) {
+        let (pn, mut label, data) = boot_pages(os)[page - 1];
+        label.length = 600;
+        page::rewrite_label(os.fs.disk_mut(), pn, label, &data).unwrap();
+    }
+
+    #[test]
+    fn an_overlong_first_boot_page_is_a_bad_length() {
+        let mut os = os();
+        os.install_boot_file().unwrap();
+        overlong(&mut os, 1);
+        assert_eq!(
+            os.bootstrap().unwrap_err(),
+            OsError::Fs(alto_fs::FsError::BadLength(600))
+        );
+    }
+
+    #[test]
+    fn an_overlong_later_boot_page_is_a_bad_length() {
+        let mut os = os();
+        os.install_boot_file().unwrap();
+        overlong(&mut os, 2);
+        assert_eq!(
+            os.bootstrap().unwrap_err(),
+            OsError::Fs(alto_fs::FsError::BadLength(600))
+        );
+    }
+
+    #[test]
+    fn a_boot_file_with_a_seam_still_loads() {
+        let mut os = os();
+        os.machine.ac[2] = 0o4321;
+        os.machine.mem.write(0o7000, 0x5A5A);
+        os.install_boot_file().unwrap();
+        // Move page 9 far from its neighbours; page 1 stays at DA 0.
+        let pages = boot_pages(&mut os);
+        let (pn, label, data) = pages[8];
+        let moved = os
+            .fs
+            .allocate_page(Some(DiskAddress(pn.da.0 + 2000)), label, &data)
+            .unwrap();
+        let (before, mut before_label, before_data) = pages[7];
+        before_label.next = moved;
+        page::rewrite_label(os.fs.disk_mut(), before, before_label, &before_data).unwrap();
+        let (after, mut after_label, after_data) = pages[9];
+        after_label.prev = moved;
+        page::rewrite_label(os.fs.disk_mut(), after, after_label, &after_data).unwrap();
+        os.fs.free_page(pn).unwrap();
+        let das: Vec<_> = boot_pages(&mut os).iter().map(|p| p.0.da).collect();
+        assert_eq!(
+            (das[0], das[8], das.len()),
+            (BOOT_PAGE_DA, moved, pages.len())
+        );
+
+        os.machine.ac[2] = 0;
+        os.machine.mem.write(0o7000, 0);
+        let ops = os.fs.disk().stats().ops;
+        os.bootstrap().unwrap();
+        assert_eq!(os.machine.ac[2], 0o4321);
+        assert_eq!(os.machine.mem.read(0o7000), 0x5A5A);
+        // Page 1, a full window that meets the seam after page 8, a
+        // one-page batch at the moved page, then `read_file`'s ramp:
+        // 4 + 8 + 16 and seven full windows to the end.
+        assert_eq!(os.fs.disk().stats().ops - ops, 1 + 32 + 4 + 28 + 7 * 32);
+    }
+
+    #[test]
+    fn a_consecutive_boot_file_loads_in_full_windows() {
+        let mut os = os();
+        os.install_boot_file().unwrap();
+        assert_eq!(boot_pages(&mut os).len(), 257);
+        let ops = os.fs.disk().stats().ops;
+        os.bootstrap().unwrap();
+        // Page 1 at DA 0, then eight 32-page guessed batches.
+        assert_eq!(os.fs.disk().stats().ops - ops, 1 + 8 * 32);
     }
 }

@@ -10,15 +10,56 @@
 //! Each hop checks a page number one higher than the last, so an honest
 //! walk ends at a nil link or a failed check; the cycle budget (no chain
 //! outnumbers the disk's sectors) turns any other walk into corruption.
+//! [`read_guessed`] is the batched twin of [`to_end`] that `read_file` and
+//! the boot loader use; its [`verified_run`] rule also serves the stream
+//! readahead.
 
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 
-use alto_disk::{Disk, Label, DATA_WORDS};
+use alto_disk::{Disk, DiskAddress, Label, DATA_WORDS};
 
 use crate::errors::FsError;
+use crate::leader::LeaderPage;
 use crate::names::PageName;
-use crate::page;
+use crate::page::{self, PageResult};
+
+/// Pages per guessed batch on a straight-line layout. One Diablo cylinder
+/// holds 24 sectors, so a window this size keeps the scheduler busy across
+/// a cylinder boundary without guessing far past a stale hint.
+pub(crate) const GUESS_WINDOW: u16 = 32;
+
+/// Opening window for guessed reads of a chain whose layout is *not*
+/// provably straight-line: a failed check halts the command chain (§3.3),
+/// so a blind full-window batch across a layout seam pays a rescheduled
+/// command per wrong guess. Each fully verified batch doubles the window
+/// back up to [`GUESS_WINDOW`].
+const GUESS_RAMP: u16 = 4;
+
+/// What a reader may assume about where a chain's pages lie (§3.6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// Nothing says the pages are consecutive: follow the links.
+    Linked,
+    /// Consecutive, perhaps with seams: guess from a small window.
+    Consecutive,
+    /// One straight line of addresses: guess full windows.
+    Straight,
+}
+
+impl Layout {
+    /// What a leader's hints promise for the chain from page 1 at `first`:
+    /// a straight line when the last page sits where page 1 plus
+    /// `last_page − 1` lands, else a seam somewhere.
+    pub fn of_leader(leader: &LeaderPage, first: DiskAddress) -> Layout {
+        let (last, last_da) = (leader.last_page, leader.last_da);
+        match leader.maybe_consecutive {
+            false => Layout::Linked,
+            true if last >= 1 && last_da.0 == first.0.wrapping_add(last - 1) => Layout::Straight,
+            true => Layout::Consecutive,
+        }
+    }
+}
 
 /// Follows the chain from `start`. `step` does each page's disk operation
 /// and either stops the walk with a value or returns the page's label,
@@ -69,6 +110,84 @@ pub fn to_end<D: Disk>(
     }
 }
 
+/// The verified run of a batch read at guessed addresses from `start`
+/// (entry `j` is page `start.page + j` at `start.da + j`). A page counts
+/// only while it passed its check and the previous page's link named its
+/// guessed address; the run is empty when entry 0 failed.
+pub fn verified_run(
+    start: PageName,
+    pages: &[PageResult],
+) -> impl Iterator<Item = (PageName, Label, &[u16; DATA_WORDS])> {
+    pages
+        .iter()
+        .zip(0..)
+        .scan(start.da, move |link, (entry, j)| {
+            let pn = start.guess(j);
+            let (label, data) = entry.as_ref().ok().filter(|_| *link == pn.da)?;
+            *link = label.next;
+            Some((pn, *label, data))
+        })
+}
+
+/// Reads the chain from `start` to its nil link in chained batches at
+/// guessed consecutive addresses (§3.6), handing every page to `visit` in
+/// order; the first error from a check or from `visit` ends the read. A
+/// batch restarts at the real link wherever the chain leaves its
+/// [`verified_run`]. [`Layout::Straight`] guesses `GUESS_WINDOW` pages
+/// at a time; [`Layout::Consecutive`] opens at `GUESS_RAMP` and doubles
+/// per fully verified batch. `last`, the last page's number if a hint
+/// gives it, clamps each batch. Two one-page batches in a row, or a guess
+/// the links confirm but its check fails, leave plain [`follow`] hops for
+/// the rest, all under one cycle budget.
+pub fn read_guessed<D: Disk>(
+    disk: &mut D,
+    start: PageName,
+    layout: Layout,
+    last: Option<u16>,
+    mut visit: impl FnMut(PageName, Label, &[u16; DATA_WORDS]) -> Result<(), FsError>,
+) -> Result<(), FsError> {
+    let mut window = match layout {
+        Layout::Linked => 0,
+        Layout::Consecutive => GUESS_RAMP,
+        Layout::Straight => GUESS_WINDOW,
+    };
+    let mut strikes = 0;
+    // The batch in hand: where it started, its pages and its run's length.
+    let (mut from, mut pages, mut run) = (start, Vec::new(), 0);
+    follow(disk, start, |disk, pn| {
+        let mut k = pn.page.wrapping_sub(from.page) as usize;
+        if k >= run && window > 0 {
+            let guessed = pn.da.0 == from.da.0.wrapping_add(k as u16);
+            if guessed && k < pages.len() {
+                // The links confirmed a guess that failed its check.
+                window = 0;
+            } else if k > 0 {
+                strikes = if !guessed && k == 1 { strikes + 1 } else { 0 };
+                window = match guessed {
+                    true => (window * 2).min(GUESS_WINDOW),
+                    false if strikes < 2 => GUESS_RAMP,
+                    false => 0,
+                };
+            }
+            if window > 0 {
+                let count = match last {
+                    Some(last) if last >= pn.page => (last - pn.page + 1).min(window),
+                    _ => window,
+                };
+                (from, pages, k) = (pn, page::read_pages_guessed(disk, pn, count)?, 0);
+                run = verified_run(from, &pages).count();
+            }
+        }
+        let (label, data) = match pages.get(k) {
+            Some(entry) if window > 0 => entry.clone()?,
+            _ => page::read_page(disk, pn)?,
+        };
+        visit(pn, label, &data)?;
+        Ok(ControlFlow::<Infallible, _>::Continue(label))
+    })
+    .map(drop)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +233,70 @@ mod tests {
         .unwrap();
         assert!(matches!(walked, ControlFlow::Break(pn) if pn.page == 2));
         assert_eq!(fs.disk().stats().ops - ops, 3);
+    }
+
+    /// File contents in which every page reads differently.
+    fn contents(pages: usize) -> Vec<u8> {
+        (0..pages * 512 - 3)
+            .map(|i| (i / 512 * 7 + i % 251) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn guessed_reads_follow_the_window_policy() {
+        let (mut fs, whole) = file_of(1);
+        let root = fs.root_dir();
+        let file = |fs: &mut FileSystem<DiskDrive>, name: &str, pages: usize| {
+            let f = crate::dir::create_named_file(fs, root, name).unwrap();
+            fs.write_file(f, &contents(pages)).unwrap();
+            f
+        };
+        fs.write_file(whole, &contents(40)).unwrap();
+        // A neighbour takes the sectors after page 10 before the file grows.
+        let seamed = file(&mut fs, "seamed.dat", 10);
+        file(&mut fs, "neighbour.dat", 3);
+        fs.write_file(seamed, &contents(37)).unwrap();
+        // Files grown a page at a time in turns with another: every link is
+        // a seam, so the second one's consecutive hint is a lie.
+        let [scattered, lying] =
+            [("scattered.dat", "a.dat"), ("lying.dat", "b.dat")].map(|names| {
+                let (f, other) = (file(&mut fs, names.0, 1), file(&mut fs, names.1, 1));
+                for n in 2..=20 {
+                    fs.write_file(f, &contents(n)).unwrap();
+                    fs.write_file(other, &contents(n)).unwrap();
+                }
+                f
+            });
+        let mut leader = fs.read_leader(lying).unwrap();
+        leader.maybe_consecutive = true;
+        fs.write_leader(lying, &leader).unwrap();
+
+        // (file, layout, seams, drive ops for the leader and the chain)
+        for (f, layout, seams, ops) in [
+            (whole, Layout::Straight, 0, 41),
+            (seamed, Layout::Consecutive, 1, 40),
+            (scattered, Layout::Linked, 19, 21),
+            // Two one-page batches of four, then plain hops.
+            (lying, Layout::Consecutive, 19, 1 + 4 + 4 + 18),
+        ] {
+            let mut das = vec![];
+            let mut reference = vec![];
+            let start = to_end(fs.disk_mut(), f.leader_page(), |pn, label, data| {
+                das.push(pn.da.0);
+                if pn.page > 0 {
+                    crate::file::append_page(&mut reference, label, data).unwrap();
+                }
+            });
+            start.unwrap();
+            let leader = fs.read_leader(f).unwrap();
+            assert_eq!(Layout::of_leader(&leader, DiskAddress(das[1])), layout);
+            let jumps = das[1..].windows(2).filter(|w| w[1] != w[0] + 1);
+            assert_eq!(jumps.count(), seams);
+            let before = fs.disk().stats().ops;
+            let bytes = crate::file::read_file_with(fs.disk_mut(), f).unwrap();
+            assert_eq!(bytes, reference);
+            assert_eq!(fs.disk().stats().ops - before, ops, "{layout:?}");
+        }
     }
 
     #[test]

@@ -37,18 +37,6 @@ use crate::pool;
 /// Bytes per page.
 pub const PAGE_BYTES: usize = DATA_WORDS * 2;
 
-/// Pages per chained batch on the consecutive fast paths. One Diablo
-/// cylinder holds 24 sectors, so a window this size keeps the scheduler
-/// busy across a cylinder boundary without guessing far past a stale hint.
-const GUESS_WINDOW: u16 = 32;
-
-/// Opening window for guessed reads of a file whose layout is *not*
-/// provably straight-line: a failed check halts the command chain (§3.3),
-/// so a blind full-window batch across a layout seam pays a rescheduled
-/// command per wrong guess. Each fully verified batch doubles the window
-/// back up to [`GUESS_WINDOW`].
-const GUESS_RAMP: u16 = 4;
-
 /// Counters for allocator behaviour (experiment E4 reports these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FsStats {
@@ -802,7 +790,7 @@ impl<D: Disk> FileSystem<D> {
                 // Only full, already-existing pages belong in a batch:
                 // clamp to the page before the last new one and to the old
                 // file's tail hint.
-                let mut count = (new_pages - n).min(GUESS_WINDOW);
+                let mut count = (new_pages - n).min(chain::GUESS_WINDOW);
                 if leader.last_page >= n {
                     count = count.min(leader.last_page - n + 1);
                 }
@@ -818,7 +806,6 @@ impl<D: Disk> FileSystem<D> {
                 }
                 let labels = page::write_pages_guessed(
                     &mut self.disk,
-                    file.fv,
                     PageName::new(file.fv, n, da),
                     &chunks,
                 )?;
@@ -981,109 +968,44 @@ impl<D: Disk> FileSystem<D> {
 }
 
 /// Reads a whole file through a bare disk (used by `mount`, before a
-/// `FileSystem` exists).
-///
-/// When the leader hints that the file may be consecutively laid out, the
-/// pages are fetched in chained batches at guessed consecutive addresses
-/// (§3.6); the labels returned by each batch steer the next one, and any
-/// wrong guess falls back to the one-page-at-a-time link chase.
+/// `FileSystem` exists): the leader, then the chain as its hints allow
+/// ([`chain::read_guessed`]).
 pub(crate) fn read_file_with<D: Disk>(
     disk: &mut D,
     file: FileFullName,
 ) -> Result<Vec<u8>, FsError> {
     let (leader_label, leader_data) = page::read_page(disk, file.leader_page())?;
     let leader = LeaderPage::decode(&leader_data);
+    let start = PageName::new(file.fv, 1, leader_label.next);
+    let layout = chain::Layout::of_leader(&leader, start.da);
     let mut bytes = Vec::new();
-    let mut pn = PageName::new(file.fv, 1, leader_label.next);
-
-    if leader.maybe_consecutive {
-        // Two batches in a row that only yield their first page mean the
-        // hint is a lie; stop wasting guesses and chase links instead.
-        let mut strikes = 0u8;
-        // A straight-line layout — the last page exactly where page 1 plus
-        // `last_page − 1` lands — earns the full window at once. Any other
-        // "consecutive" file has a seam somewhere, and every guess past the
-        // seam is a halted chain plus a rescheduled command, so open small
-        // and let verified batches grow the window back.
-        let straight =
-            leader.last_page >= 1 && leader.last_da.0 == pn.da.0.wrapping_add(leader.last_page - 1);
-        let mut window = if straight { GUESS_WINDOW } else { GUESS_RAMP };
-        'batched: loop {
-            // Clamp the window with the leader's last-page hint so a batch
-            // does not guess far past the end of the file.
-            let count = if leader.last_page >= pn.page {
-                (leader.last_page - pn.page + 1).min(window)
-            } else {
-                window
-            };
-            let pages = page::read_pages_guessed(disk, file.fv, pn, count)?;
-            for (j, res) in pages.into_iter().enumerate() {
-                let j = j as u16;
-                match res {
-                    Ok((label, data)) => {
-                        append_page(&mut bytes, label, &data)?;
-                        if label.next.is_nil() {
-                            return Ok(bytes);
-                        }
-                        let guessed = DiskAddress(pn.da.0.wrapping_add(j + 1));
-                        if label.next != guessed || j + 1 == count {
-                            // The chain departs from the guesses (or the
-                            // window is spent): restart from the real link.
-                            window = if label.next == guessed {
-                                (window * 2).min(GUESS_WINDOW)
-                            } else {
-                                GUESS_RAMP
-                            };
-                            pn = PageName::new(file.fv, pn.page + j + 1, label.next);
-                            if j == 0 && label.next != guessed {
-                                strikes += 1;
-                                if strikes >= 2 {
-                                    break 'batched;
-                                }
-                            } else {
-                                strikes = 0;
-                            }
-                            continue 'batched;
-                        }
-                    }
-                    // Entry 0 is the real chain address: its failure is the
-                    // file's failure. Later entries only fail here when the
-                    // predecessor's link *said* they were consecutive, so
-                    // re-issuing the read below reproduces the error.
-                    Err(e) if j == 0 => return Err(e),
-                    Err(_) => {
-                        pn = PageName::new(
-                            file.fv,
-                            pn.page + j,
-                            DiskAddress(pn.da.0.wrapping_add(j)),
-                        );
-                        break 'batched;
-                    }
-                }
-            }
-            break 'batched;
-        }
-    }
-
-    chain::follow(disk, pn, |disk, pn| {
-        let (label, data) = page::read_page(disk, pn)?;
-        append_page(&mut bytes, label, &data)?;
-        Ok(ControlFlow::<Infallible, _>::Continue(label))
-    })
-    .map(|_| bytes)
+    chain::read_guessed(
+        disk,
+        start,
+        layout,
+        Some(leader.last_page),
+        |_, label, data| append_page(&mut bytes, label, data),
+    )?;
+    Ok(bytes)
 }
 
-/// Appends a page's data bytes (its label's length of them) to `bytes`.
-pub(crate) fn append_page(
+/// Appends a page's data bytes ([`data_len`] of them) to `bytes`.
+pub fn append_page(
     bytes: &mut Vec<u8>,
     label: Label,
     data: &[u16; DATA_WORDS],
 ) -> Result<(), FsError> {
-    if label.length as usize > PAGE_BYTES {
-        return Err(FsError::BadLength(label.length));
-    }
-    bytes.extend_from_slice(&unpack_bytes(data)[..label.length as usize]);
+    bytes.extend_from_slice(&unpack_bytes(data)[..data_len(label)?]);
     Ok(())
+}
+
+/// The data bytes `label` says its page holds, or [`FsError::BadLength`]
+/// when that is more than a page.
+pub fn data_len(label: Label) -> Result<usize, FsError> {
+    match label.length as usize {
+        n if n <= PAGE_BYTES => Ok(n),
+        _ => Err(FsError::BadLength(label.length)),
+    }
 }
 
 /// Packs bytes into page words, big-endian (byte 0 in the high byte).

@@ -141,6 +141,16 @@ impl PageName {
     pub fn new(fv: Fv, page: u16, da: DiskAddress) -> PageName {
         PageName { fv, page, da }
     }
+
+    /// Page `page + j` of the file, guessed `j` sectors on (§3.6: "compute
+    /// the address of page j as aᵢ + j − i").
+    pub fn guess(self, j: u16) -> PageName {
+        PageName::new(
+            self.fv,
+            self.page + j,
+            DiskAddress(self.da.0.wrapping_add(j)),
+        )
+    }
 }
 
 impl fmt::Display for PageName {

@@ -240,34 +240,41 @@ pub fn read_raw_batch<D: Disk>(disk: &mut D, das: &[DiskAddress]) -> Vec<PageRes
 /// label and data.
 pub fn read_pages_guessed<D: Disk>(
     disk: &mut D,
-    fv: Fv,
     start: PageName,
     count: u16,
 ) -> Result<Vec<PageResult>, FsError> {
-    let pack = disk.pack_number()?;
     let mut batch = pool::batch_vec();
-    for j in 0..count {
-        let da = DiskAddress(start.da.0.wrapping_add(j));
-        let mut buf = SectorBuf::with_label(fv.check_label(start.page + j));
-        buf.header = [pack, da.0];
-        batch.push(BatchRequest::new(da, SectorOp::READ, buf));
-    }
+    batch.extend(guessed_reads(disk.pack_number()?, start, count));
     let mut results = batch_with_retry(disk, &mut batch);
     let out = results
         .drain(..)
         .zip(batch.drain(..))
-        .enumerate()
-        .map(|(j, (res, req))| {
-            let da = DiskAddress(start.da.0.wrapping_add(j as u16));
-            res.map_err(FsError::from).and_then(|()| {
-                let label = verified_label(da, fv, start.page + j as u16, &req.buf)?;
-                Ok((label, req.buf.data))
-            })
-        })
+        .zip(0..)
+        .map(|((res, req), j)| read_result(start.guess(j), res, &req))
         .collect();
     pool::recycle_results(results);
     pool::recycle_batch(batch);
     Ok(out)
+}
+
+/// The read requests for `count` pages from `start` at guessed consecutive
+/// addresses, each checking its page's full name.
+fn guessed_reads(pack: u16, start: PageName, count: u16) -> impl Iterator<Item = BatchRequest> {
+    (0..count).map(move |j| {
+        let pn = start.guess(j);
+        let mut buf = SectorBuf::with_label(pn.fv.check_label(pn.page));
+        buf.header = [pack, pn.da.0];
+        BatchRequest::new(pn.da, SectorOp::READ, buf)
+    })
+}
+
+/// The outcome of a batched read of `pn`: its verified label and data.
+fn read_result(pn: PageName, res: Result<(), DiskError>, req: &BatchRequest) -> PageResult {
+    res?;
+    Ok((
+        verified_label(pn.da, pn.fv, pn.page, &req.buf)?,
+        req.buf.data,
+    ))
 }
 
 /// Reads a set of named pages — possibly belonging to many files — as one
@@ -345,12 +352,10 @@ where
 /// guarantees for ordinary files.
 pub fn write_pages_guessed<D: Disk>(
     disk: &mut D,
-    fv: Fv,
     start: PageName,
     chunks: &[[u16; DATA_WORDS]],
 ) -> Result<Vec<Result<Label, FsError>>, FsError> {
-    let guesses = (0..chunks.len() as u16)
-        .map(|j| PageName::new(fv, start.page + j, DiskAddress(start.da.0.wrapping_add(j))));
+    let guesses = (0..chunks.len() as u16).map(|j| start.guess(j));
     write_pages(disk, guesses, chunks)
 }
 
@@ -421,16 +426,12 @@ pub fn drain_and_prefetch_into<D: Disk>(
     write_out.clear();
     read_out.clear();
     let pack = disk.pack_number()?;
-    let reads = match read_start {
-        Some(_) => read_count,
-        None => 0,
-    };
-    if reads == 0 {
+    let Some(start) = read_start.filter(|_| read_count > 0) else {
         // A pure drain has nothing to copy out, so the dirty pages go down
         // the borrowed-buffer path: the drive checks each label in place
         // and takes the 256 data words straight from the parked page.
         return drain_writes_zero_copy(disk, fv, pack, writes, write_out);
-    }
+    };
     let mut batch = pool::batch_vec();
     for &(page, da, ref data) in writes {
         let mut buf = SectorBuf::with_label(fv.check_label(page));
@@ -438,14 +439,7 @@ pub fn drain_and_prefetch_into<D: Disk>(
         buf.data = *data;
         batch.push(BatchRequest::new(da, SectorOp::WRITE, buf));
     }
-    if let Some(start) = read_start {
-        for j in 0..reads {
-            let da = DiskAddress(start.da.0.wrapping_add(j));
-            let mut buf = SectorBuf::with_label(fv.check_label(start.page + j));
-            buf.header = [pack, da.0];
-            batch.push(BatchRequest::new(da, SectorOp::READ, buf));
-        }
-    }
+    batch.extend(guessed_reads(pack, start, read_count));
     // Selective retry: the parked writes and the authoritative first read
     // are retried sector-at-a-time, but a transient on a *guessed follower*
     // read is left in place — the readahead above degrades to a shorter
@@ -460,26 +454,20 @@ pub fn drain_and_prefetch_into<D: Disk>(
             *res = complete_with_retry(disk, req.da, req.op, &mut req.buf, e);
         }
     }
-    for (k, (res, req)) in results.drain(..).zip(batch.drain(..)).enumerate() {
-        if k < writes.len() {
-            let (page, da, _) = writes[k];
-            write_out.push(
+    let mut done = results.drain(..).zip(batch.drain(..));
+    write_out.extend(
+        writes
+            .iter()
+            .zip(done.by_ref())
+            .map(|(&(page, da, _), (res, req))| {
                 res.map_err(FsError::from)
-                    .and_then(|()| verified_label(da, fv, page, &req.buf)),
-            );
-        } else {
-            // lint: allow(diskerror-unwrap) — Option, not a DiskError: the
-            // read half of the batch is built from `read_start` above, so a
-            // read request at index k proves the start exists
-            let start = read_start.expect("read requests imply a start");
-            let j = (k - writes.len()) as u16;
-            let da = DiskAddress(start.da.0.wrapping_add(j));
-            read_out.push(res.map_err(FsError::from).and_then(|()| {
-                let label = verified_label(da, fv, start.page + j, &req.buf)?;
-                Ok((label, req.buf.data))
-            }));
-        }
-    }
+                    .and_then(|()| verified_label(da, fv, page, &req.buf))
+            }),
+    );
+    read_out.extend(
+        done.zip(0..)
+            .map(|((res, req), j)| read_result(start.guess(j), res, &req)),
+    );
     pool::recycle_results(results);
     pool::recycle_batch(batch);
     Ok(())
@@ -1026,7 +1014,7 @@ mod tests {
             [0xA3; DATA_WORDS],
         ];
         let start = PageName::new(fv(), 1, DiskAddress(40));
-        let wrote = write_pages_guessed(&mut d, fv(), start, &chunks).unwrap();
+        let wrote = write_pages_guessed(&mut d, start, &chunks).unwrap();
         assert!(wrote.iter().all(std::result::Result::is_ok));
         let s = d.stats();
         // 3 batched services + exactly 1 retry re-issue; the two clean

@@ -35,7 +35,7 @@
 use alto_disk::{Disk, DiskAddress, Label, UnparkOutcome, DATA_WORDS};
 use alto_fs::file::PAGE_BYTES;
 use alto_fs::names::FileFullName;
-use alto_fs::{FileSystem, FsError, PageMap, PageName};
+use alto_fs::{chain, FileSystem, FsError, PageMap, PageName};
 
 use crate::errors::StreamError;
 use crate::Stream;
@@ -85,8 +85,8 @@ pub struct DiskByteStream<D: Disk> {
     /// Where the file's pages are: seeded from the leader, taught every
     /// page the stream lands on, and used by seeks and close.
     map: PageMap,
-    /// Pages prefetched beyond the current one: `(page, da, label, data)`.
-    readahead: Vec<(u16, DiskAddress, Label, [u16; DATA_WORDS])>,
+    /// Pages prefetched beyond the current one.
+    readahead: Vec<crate::pool::ReadaheadPage>,
     /// The disk's [`Disk::write_epoch`] as of this stream's own last drain
     /// or refill; a different value means a *foreign* write reached the
     /// medium, so prefetched copies may be stale and parked pages should
@@ -125,16 +125,12 @@ impl<D: Disk> DiskByteStream<D> {
     /// straight after a verified name lookup) skips that disk revolution.
     pub fn open(fs: &mut FileSystem<D>, file: FileFullName) -> Result<Self, StreamError> {
         let (leader_label, leader) = fs.open_leader(file)?;
-        let da = leader_label.next;
-        let pn = PageName::new(file.fv, 1, da);
+        let pn = PageName::new(file.fv, 1, leader_label.next);
         let (label, buffer) = fs.read_page(pn)?;
-        let medium_epoch = fs.disk().write_epoch();
-        let mut map = PageMap::open(file, leader_label, &leader);
-        map.learn(2, label.next);
-        Ok(DiskByteStream {
+        let mut stream = DiskByteStream {
             file,
             page: 1,
-            da,
+            da: pn.da,
             label,
             buffer,
             offset: 0,
@@ -142,16 +138,18 @@ impl<D: Disk> DiskByteStream<D> {
             label_changed: false,
             resized: false,
             closed: false,
-            map,
+            map: PageMap::open(file, leader_label, &leader),
             readahead: crate::pool::readahead_vec(),
-            medium_epoch,
+            medium_epoch: fs.disk().write_epoch(),
             write_behind: crate::pool::parked_vec(),
             write_behind_enabled: true,
             drain_scratch: crate::pool::parked_vec(),
             write_results: crate::pool::labels_vec(),
             read_results: crate::pool::reads_vec(),
             _disk: std::marker::PhantomData,
-        })
+        };
+        stream.land(pn, label, buffer)?;
+        Ok(stream)
     }
 
     /// Current absolute byte position (non-standard operation).
@@ -183,7 +181,7 @@ impl<D: Disk> DiskByteStream<D> {
                 }
                 target_offset = PAGE_BYTES;
             }
-            self.land(found.pn.page, found.pn.da, found.label, found.data);
+            self.land(found.pn, found.label, found.data)?;
         }
         if target_offset > self.label.length as usize {
             return Err(past_end(target_page, self.page));
@@ -342,8 +340,8 @@ impl<D: Disk> DiskByteStream<D> {
     /// page of the chain.
     fn advance_to_next_page(&mut self, fs: &mut FileSystem<D>) -> Result<(), StreamError> {
         self.park_or_flush(fs)?;
-        let (next_page, next_da) = (self.page + 1, self.label.next);
-        self.advance_page(fs, next_page, next_da)
+        let next = PageName::new(self.file.fv, self.page + 1, self.label.next);
+        self.advance_page(fs, next)
     }
 
     fn check_open(&self) -> Result<(), StreamError> {
@@ -354,39 +352,37 @@ impl<D: Disk> DiskByteStream<D> {
         }
     }
 
-    fn load_page(
-        &mut self,
-        fs: &mut FileSystem<D>,
-        page: u16,
-        da: DiskAddress,
-    ) -> Result<(), StreamError> {
-        let pn = PageName::new(self.file.fv, page, da);
+    fn load_page(&mut self, fs: &mut FileSystem<D>, pn: PageName) -> Result<(), StreamError> {
         let (label, buffer) = fs.read_page(pn)?;
-        self.land(page, da, label, buffer);
+        self.land(pn, label, buffer)
+    }
+
+    /// Makes `pn` the current page, positioned at its first byte,
+    /// and teaches the map where it and its successor are. A label that
+    /// claims more bytes than a page holds fails with
+    /// [`FsError::BadLength`], as it does in `read_file`.
+    fn land(
+        &mut self,
+        pn: PageName,
+        label: Label,
+        buffer: [u16; DATA_WORDS],
+    ) -> Result<(), StreamError> {
+        alto_fs::file::data_len(label)?;
+        self.map.learn(pn.page, pn.da);
+        self.map.learn(pn.page + 1, label.next);
+        (self.page, self.da, self.label, self.buffer, self.offset) =
+            (pn.page, pn.da, label, buffer, 0);
         Ok(())
     }
 
-    /// Makes `(page, da)` the current page, positioned at its first byte,
-    /// and teaches the map where it and its successor are.
-    fn land(&mut self, page: u16, da: DiskAddress, label: Label, buffer: [u16; DATA_WORDS]) {
-        self.map.learn(page, da);
-        self.map.learn(page + 1, label.next);
-        (self.page, self.da, self.label, self.buffer, self.offset) = (page, da, label, buffer, 0);
-    }
-
-    /// Moves to `(page, da)`, serving from the readahead buffer when it is
+    /// Moves to `pn`, serving from the readahead buffer when it is
     /// still fresh and refilling it with a chained guessed batch (§3.6)
     /// when the leader hints the file is consecutively laid out. A refill
     /// drains the write-behind buffer in the *same* batch: in the steady
     /// sequential-write state one command set-up and one rotational
     /// schedule cover [`WRITE_BEHIND_PAGES`] writes behind the cursor plus
     /// [`READAHEAD_PAGES`] reads ahead of it.
-    fn advance_page(
-        &mut self,
-        fs: &mut FileSystem<D>,
-        page: u16,
-        da: DiskAddress,
-    ) -> Result<(), StreamError> {
+    fn advance_page(&mut self, fs: &mut FileSystem<D>, pn: PageName) -> Result<(), StreamError> {
         // A *foreign* write to the medium since this stream's last drain or
         // refill may have moved, freed or rewritten the buffered pages:
         // drop the prefetched copies, and get the parked pages to their
@@ -395,53 +391,37 @@ impl<D: Disk> DiskByteStream<D> {
             self.readahead.clear();
             self.drain(fs)?;
         }
-        if let Some(i) = self.readahead.iter().position(|e| e.0 == page && e.1 == da) {
+        if let Some(i) = self.readahead.iter().position(|e| e.0 == pn) {
             // Buffer pressure: drain before yet another page parks. The
             // prefetched copies survive the stream's own drain — the parked
             // pages lie behind the cursor, the prefetched ones ahead.
             if self.write_behind.len() >= WRITE_BEHIND_PAGES {
                 self.drain(fs)?;
             }
-            let (p, d, label, buffer) = self.readahead.remove(i);
+            let (_, label, buffer) = self.readahead.remove(i);
             fs.disk_mut().note_readahead(1, 0);
-            self.land(p, d, label, buffer);
-            return Ok(());
+            return self.land(pn, label, buffer);
         }
         self.readahead.clear();
         if self.map.consecutive() {
-            self.drain_and_prefetch(fs, Some(PageName::new(self.file.fv, page, da)))?;
-            let mut entries = std::mem::take(&mut self.read_results);
-            let mut drained = entries.drain(..);
-            if let Some(Ok((label, buffer))) = drained.next() {
-                // Keep followers only while the verified links confirm the
-                // guessed consecutive run.
-                let mut expect_next = label.next;
-                let mut prefetched = 0u64;
-                for (j, entry) in drained.enumerate() {
-                    let Ok((l, d)) = entry else { break };
-                    let guess = DiskAddress(da.0.wrapping_add(j as u16 + 1));
-                    if expect_next != guess {
-                        break;
-                    }
-                    self.readahead.push((page + j as u16 + 1, guess, l, d));
-                    prefetched += 1;
-                    expect_next = l.next;
+            self.drain_and_prefetch(fs, Some(pn))?;
+            // Keep the batch's verified run: the page itself, then the
+            // followers its links confirm.
+            let mut run = chain::verified_run(pn, &self.read_results);
+            if let Some((_, label, &buffer)) = run.next() {
+                self.readahead
+                    .extend(run.map(|(pn, label, data)| (pn, label, *data)));
+                if !self.readahead.is_empty() {
+                    fs.disk_mut().note_readahead(0, self.readahead.len() as u64);
                 }
-                self.read_results = entries;
-                if prefetched > 0 {
-                    fs.disk_mut().note_readahead(0, prefetched);
-                }
-                self.land(page, da, label, buffer);
-                return Ok(());
+                return self.land(pn, label, buffer);
             }
-            drop(drained);
-            self.read_results = entries;
             // Entry 0 failed: the hint chain is authoritative there, so let
             // the ordinary path (with its hint recovery) handle it. The
             // drain already happened.
         }
         self.drain(fs)?;
-        self.load_page(fs, page, da)
+        self.load_page(fs, pn)
     }
 
     /// Gets the next byte.
@@ -640,7 +620,7 @@ impl<D: Disk> Stream<FileSystem<D>> for DiskByteStream<D> {
         self.check_open()?;
         self.finish(fs)?;
         let (leader_label, _) = fs.open_leader(self.file)?;
-        self.load_page(fs, 1, leader_label.next)?;
+        self.load_page(fs, PageName::new(self.file.fv, 1, leader_label.next))?;
         Ok(())
     }
 
@@ -1205,5 +1185,30 @@ mod tests {
         sb.close(&mut fs).unwrap();
         assert_eq!(fs.read_file(a).unwrap()[3], 3);
         assert_eq!(fs.read_file(b).unwrap()[3], 97);
+    }
+
+    #[test]
+    fn an_overlong_page_label_is_a_bad_length() {
+        // Page 2 of three claims 600 bytes: the stream must not make up the
+        // 88 bytes a sector cannot hold.
+        let mut fs = fresh_fs();
+        let f = file_named(&mut fs, "long.dat");
+        fs.write_file(f, &[7; 3 * 512]).unwrap();
+        let mut pages = vec![];
+        alto_fs::chain::to_end(fs.disk_mut(), f.leader_page(), |pn, label, data| {
+            pages.push((pn, label, *data));
+        })
+        .unwrap();
+        assert_eq!(pages.len(), 4);
+        let (pn, mut label, data) = pages[2];
+        label.length = 600;
+        alto_fs::page::rewrite_label(fs.disk_mut(), pn, label, &data).unwrap();
+        assert_eq!(fs.read_file(f), Err(FsError::BadLength(600)));
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        let mut out = [0; 4 * 512];
+        assert!(matches!(
+            s.read_bytes(&mut fs, &mut out),
+            Err(StreamError::Fs(FsError::BadLength(600)))
+        ));
     }
 }

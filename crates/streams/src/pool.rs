@@ -18,10 +18,10 @@
 use alto_disk::pool::FreeList;
 use alto_disk::{DiskAddress, Label, DATA_WORDS};
 use alto_fs::page::PageResult;
-use alto_fs::FsError;
+use alto_fs::{FsError, PageName};
 
 /// A prefetched page parked in the readahead buffer.
-pub type ReadaheadPage = (u16, DiskAddress, Label, [u16; DATA_WORDS]);
+pub type ReadaheadPage = (PageName, Label, [u16; DATA_WORDS]);
 
 /// A dirty page parked for a delayed write.
 pub type ParkedPage = (u16, DiskAddress, [u16; DATA_WORDS]);
