@@ -376,6 +376,10 @@ impl Disk for DriveArray {
     }
 
     fn do_batch(&mut self, batch: &mut [BatchRequest]) -> Vec<Result<(), DiskError>> {
+        // On one arm routing is the identity: the drive takes the batch as is.
+        if self.arms.len() == 1 {
+            return self.arms[0].do_batch(batch);
+        }
         // Split the batch by arm so each drive schedules (and chains) its
         // own share; addresses and headers are translated exactly as in
         // `do_op`, and results land back in the batch's original order.

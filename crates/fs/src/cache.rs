@@ -263,9 +263,4 @@ impl HintCache {
             },
         );
     }
-
-    /// Drops the cached leader of `fv` (the file was deleted).
-    pub(crate) fn forget_leader(&mut self, fv: Fv) {
-        self.leaders.remove(&fv);
-    }
 }

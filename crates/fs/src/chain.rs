@@ -6,13 +6,13 @@
 //! [`follow`] is the one walk: from any page name it applies a per-page
 //! step and moves to the page the step's label links to, until the link is
 //! nil or the step stops it. Walks step with [`page::read_page`] ([`to_end`]
-//! reads a whole chain); freeing a chain steps with [`page::free_page`].
-//! Each hop checks a page number one higher than the last, so an honest
-//! walk ends at a nil link or a failed check; the cycle budget (no chain
-//! outnumbers the disk's sectors) turns any other walk into corruption.
-//! [`read_guessed`] is the batched twin of [`to_end`] that `read_file` and
-//! the boot loader use; its [`verified_run`] rule also serves the stream
-//! readahead.
+//! reads a whole chain). Each hop checks a page number one higher than the
+//! last, so an honest walk ends at a nil link or a failed check; the cycle
+//! budget (no chain outnumbers the disk's sectors) turns any other walk
+//! into corruption. [`read_guessed`] is the batched twin of [`to_end`] that
+//! `read_file`, the boot loader, delete and truncation use (the last two
+//! read the chain, then free it as one run of [`page::RunPage`]s); its
+//! [`verified_run`] rule also serves the stream readahead.
 
 use std::convert::Infallible;
 use std::ops::ControlFlow;
@@ -153,8 +153,8 @@ pub fn read_guessed<D: Disk>(
     };
     let mut strikes = 0;
     // The batch in hand: where it started, its pages and its run's length.
-    let (mut from, mut pages, mut run) = (start, Vec::new(), 0);
-    follow(disk, start, |disk, pn| {
+    let (mut from, mut pages, mut run) = (start, crate::pool::reads_vec(), 0);
+    let walked = follow(disk, start, |disk, pn| {
         let mut k = pn.page.wrapping_sub(from.page) as usize;
         if k >= run && window > 0 {
             let guessed = pn.da.0 == from.da.0.wrapping_add(k as u16);
@@ -174,18 +174,26 @@ pub fn read_guessed<D: Disk>(
                     Some(last) if last >= pn.page => (last - pn.page + 1).min(window),
                     _ => window,
                 };
-                (from, pages, k) = (pn, page::read_pages_guessed(disk, pn, count)?, 0);
+                let batch = page::read_pages_guessed(disk, pn, count)?;
+                crate::pool::recycle_reads(std::mem::replace(&mut pages, batch));
+                (from, k) = (pn, 0);
                 run = verified_run(from, &pages).count();
             }
         }
+        let hop;
         let (label, data) = match pages.get(k) {
-            Some(entry) if window > 0 => entry.clone()?,
-            _ => page::read_page(disk, pn)?,
+            Some(Ok((label, data))) if window > 0 => (*label, data),
+            Some(Err(e)) if window > 0 => return Err(e.clone()),
+            _ => {
+                hop = page::read_page(disk, pn)?;
+                (hop.0, &hop.1)
+            }
         };
-        visit(pn, label, &data)?;
+        visit(pn, label, data)?;
         Ok(ControlFlow::<Infallible, _>::Continue(label))
-    })
-    .map(drop)
+    });
+    crate::pool::recycle_reads(pages);
+    walked.map(drop)
 }
 
 #[cfg(test)]

@@ -6,19 +6,17 @@
 //! structural change follows the §3.3 label discipline:
 //!
 //! * allocating or freeing a page checks the old label and rewrites it —
-//!   one disk revolution each;
+//!   one disk revolution each, or, for a run of pages, one chained check
+//!   pass over the whole run and then one chained write pass;
 //! * changing the length of the file rewrites the last page's label — one
 //!   revolution;
 //! * ordinary data reads and writes check the label *at no cost in time*.
 //!
-//! The allocation map is a hint: [`FileSystem::allocate_page`] trusts it
+//! The allocation map is a hint: [`FileSystem::allocate_run`] trusts it
 //! only until the free-label check fails, then simply tries another page
 //! (§3.3). The descriptor is flushed on [`FileSystem::unmount`]; a crash
 //! leaves a stale map on disk, which is exactly the state the Scavenger
 //! (and the label checks in the meantime) are designed to survive.
-
-use std::convert::Infallible;
-use std::ops::ControlFlow;
 
 use alto_disk::{Disk, DiskAddress, DiskError, Label, DATA_WORDS};
 
@@ -31,7 +29,7 @@ use crate::errors::FsError;
 use crate::leader::LeaderPage;
 use crate::map::PageMap;
 use crate::names::{FileFullName, Fv, PageName, SerialNumber};
-use crate::page;
+use crate::page::{self, RunPage, Was};
 use crate::pool;
 
 /// Bytes per page.
@@ -348,35 +346,121 @@ impl<D: Disk> FileSystem<D> {
     // ------------------------------------------------------------------
 
     /// Allocates a free page near `near` (or the allocation rotor), writing
-    /// `label` and `data`. Retries transparently when the allocation map
-    /// proves stale. Returns where the page landed.
+    /// `label` and `data`: a one-page [`Self::allocate_run`]. Returns where
+    /// the page landed.
     pub fn allocate_page(
         &mut self,
         near: Option<DiskAddress>,
         label: Label,
         data: &[u16; DATA_WORDS],
     ) -> Result<DiskAddress, FsError> {
-        let mut start = near.unwrap_or(self.desc.rotor);
+        let mut run = [RunPage::alloc(label, *data)];
+        self.allocate_run(near, &mut run)?;
+        Ok(run[0].da)
+    }
+
+    /// Allocates the new pages of `run` (each a [`RunPage::alloc`]) and
+    /// rewrites the existing pages that lead it (a predecessor's relink,
+    /// each a [`RunPage::rewrite`]) under §3.3's two passes. The run is
+    /// consecutive pages of one file in page order.
+    ///
+    /// Each new page goes to the first page the map calls free at or after
+    /// the new page before it (the first at or after `near`, or the rotor).
+    /// Once every page has a home, every label is linked to its neighbours.
+    /// The check pass then checks every sector; a new page whose label
+    /// proves busy (a stale map) keeps its bit busy, and it and the pages
+    /// after it are placed again from the next free page and checked again.
+    /// Only when every check has passed is anything written: the new pages,
+    /// fully linked, in one write pass, and then — only if every one of them
+    /// landed — the relinks, so the live chain never names a sector whose
+    /// label write failed. A failure before the write pass hands back the
+    /// map bits of every placed page whose check did not fail.
+    pub fn allocate_run(
+        &mut self,
+        near: Option<DiskAddress>,
+        run: &mut [RunPage],
+    ) -> Result<(), FsError> {
+        self.allocate_run_with(near, run, |_| {})
+    }
+
+    /// [`Self::allocate_run`], with `finish` filling in data that depends
+    /// on the homes (a fresh chain's leader hints) before anything is
+    /// written.
+    fn allocate_run_with(
+        &mut self,
+        near: Option<DiskAddress>,
+        run: &mut [RunPage],
+        finish: impl FnOnce(&mut [RunPage]),
+    ) -> Result<(), FsError> {
+        let relinks = run.partition_point(|p| p.was != Was::Free);
+        debug_assert!(run[relinks..].iter().all(|p| p.was == Was::Free));
+        // `run[..from]` is placed and checked.
+        let (mut from, mut start) = (0, near.unwrap_or(self.desc.rotor));
         loop {
-            let candidate = self
-                .desc
-                .bitmap
-                .find_free_from(start)
-                .ok_or(FsError::DiskFull)?;
-            self.desc.bitmap.set_busy(candidate);
-            match page::allocate_at(&mut self.disk, candidate, label, data) {
-                Ok(()) => {
-                    self.stats.pages_allocated += 1;
-                    self.desc.rotor = DiskAddress(candidate.0.wrapping_add(1));
-                    return Ok(candidate);
+            for i in from.max(relinks)..run.len() {
+                let Some(da) = self.desc.bitmap.find_free_from(start) else {
+                    self.unplace(run);
+                    return Err(FsError::DiskFull);
+                };
+                self.desc.bitmap.set_busy(da);
+                (run[i].da, start) = (da, DiskAddress(da.0.wrapping_add(1)));
+            }
+            let checked = match page::check_run(&mut self.disk, &run[from..]) {
+                Ok(checked) => checked,
+                Err(e) => {
+                    self.unplace(run);
+                    return Err(e);
                 }
-                Err(FsError::Disk(DiskError::Check(_))) => {
-                    // Stale map: the label says busy. Keep the bit busy and
-                    // try the next candidate (§3.3).
-                    self.stats.alloc_retries += 1;
-                    start = DiskAddress(candidate.0.wrapping_add(1));
+            };
+            let (mut stale, mut failed) = (None, None);
+            for (k, (p, res)) in run[from..].iter_mut().zip(&checked).enumerate() {
+                match res {
+                    Ok(_) => {}
+                    Err(FsError::Disk(DiskError::Check(_))) if p.was == Was::Free => {
+                        // Stale map: the label says busy. Keep the bit busy
+                        // and place the page again (§3.3).
+                        self.stats.alloc_retries += 1;
+                        stale.get_or_insert((k, p.da));
+                        p.da = DiskAddress::NIL;
+                    }
+                    Err(e) => {
+                        failed.get_or_insert(e.clone());
+                        if p.was == Was::Free {
+                            p.da = DiskAddress::NIL;
+                        }
+                    }
                 }
-                Err(e) => return Err(e),
+            }
+            pool::recycle_labels(checked);
+            if let Some(e) = failed {
+                self.unplace(run);
+                return Err(e);
+            }
+            let Some((k, da)) = stale else { break };
+            from += k;
+            start = DiskAddress(da.0.wrapping_add(1));
+            self.unplace(&mut run[from..]);
+        }
+        for i in 1..run.len() {
+            run[i].label.prev = run[i - 1].da;
+            run[i - 1].label.next = run[i].da;
+        }
+        finish(run);
+        let (relinks, new) = run.split_at(relinks);
+        page::write_run(&mut self.disk, new)?;
+        for p in new {
+            self.stats.pages_allocated += 1;
+            self.desc.rotor = DiskAddress(p.da.0.wrapping_add(1));
+        }
+        page::write_run(&mut self.disk, relinks)
+    }
+
+    /// Hands back the map bits of the placed new pages of `run`.
+    fn unplace(&mut self, run: &mut [RunPage]) {
+        for p in run.iter_mut().filter(|p| p.was == Was::Free) {
+            if !p.da.is_nil() {
+                self.desc.bitmap.set_free(p.da);
+                p.da = DiskAddress::NIL;
             }
         }
     }
@@ -385,8 +469,8 @@ impl<D: Disk> FileSystem<D> {
     /// run of that many free pages at or after `near`, so fresh files come
     /// out consecutive and the §3.6 consecutive-guess machinery hits on
     /// first read, without waiting for the compactor. The map is only a
-    /// hint — the per-page label checks in [`FileSystem::allocate_page`]
-    /// still arbitrate — and with the hint cache disabled (the ablation)
+    /// hint — the label checks in [`FileSystem::allocate_run`] still
+    /// arbitrate — and with the hint cache disabled (the ablation)
     /// the allocator keeps its original fixed-origin behaviour.
     fn placement_run(&self, near: DiskAddress, pages: u32) -> Option<DiskAddress> {
         if !self.cache.enabled() || pages <= 1 {
@@ -419,6 +503,18 @@ impl<D: Disk> FileSystem<D> {
         self.desc.bitmap.set_free(pn.da);
         self.stats.pages_freed += 1;
         Ok(old)
+    }
+
+    /// Frees the pages of `run` (each a [`RunPage::free`]) in two chained
+    /// passes: every label is checked first, and nothing is written unless
+    /// every check passed (§3.3).
+    pub fn free_run(&mut self, run: &[RunPage]) -> Result<(), FsError> {
+        page::rewrite_run(&mut self.disk, run)?;
+        for p in run {
+            self.desc.bitmap.set_free(p.da);
+            self.stats.pages_freed += 1;
+        }
+        Ok(())
     }
 
     /// Reads the page named `pn` (checked by full name).
@@ -462,21 +558,17 @@ impl<D: Disk> FileSystem<D> {
         }
         let fv = Fv::new(SerialNumber::new(number, directory), 1);
         let leader = LeaderPage::new(leader_name, self.now())?;
-        let leader_label = Label {
-            fid: fv.serial.words(),
-            version: fv.version,
-            page_number: 0,
-            length: PAGE_BYTES as u16,
-            next: DiskAddress::NIL,
-            prev: DiskAddress::NIL,
-        };
-        let leader_da = self.allocate_page(
+        // The leader and an empty page 1, laid down as one run.
+        let mut run = [
+            RunPage::alloc(page_label(fv, 0, PAGE_BYTES as u16), leader.encode()),
+            RunPage::alloc(page_label(fv, 1, 0), [0; DATA_WORDS]),
+        ];
+        self.allocate_run_with(
             self.arm_spread_origin(number),
-            leader_label,
-            &leader.encode(),
+            &mut run,
+            hint_leader(leader),
         )?;
-        self.chain_data_pages(fv, leader_da, leader, &[])?;
-        Ok(FileFullName::new(fv, leader_da))
+        Ok(FileFullName::new(fv, run[0].da))
     }
 
     /// Lays down a file whose leader must land at a *fixed* address (the
@@ -489,14 +581,7 @@ impl<D: Disk> FileSystem<D> {
         leader: LeaderPage,
         bytes: &[u8],
     ) -> Result<(), FsError> {
-        let leader_label = Label {
-            fid: fv.serial.words(),
-            version: fv.version,
-            page_number: 0,
-            length: PAGE_BYTES as u16,
-            next: DiskAddress::NIL,
-            prev: DiskAddress::NIL,
-        };
+        let leader_label = page_label(fv, 0, PAGE_BYTES as u16);
         page::allocate_at(&mut self.disk, leader_da, leader_label, &leader.encode())?;
         self.stats.pages_allocated += 1;
         self.chain_data_pages(fv, leader_da, leader, bytes)
@@ -516,68 +601,30 @@ impl<D: Disk> FileSystem<D> {
     }
 
     /// Allocates and chains the data pages of a fresh file whose leader is
-    /// already on disk with nil links, fixing each predecessor's next link
-    /// and finally recording the last-page hints in the leader data.
+    /// already on disk with nil links: one run of the new pages plus the
+    /// leader's relink, which also records the last-page hints.
     fn chain_data_pages(
         &mut self,
         fv: Fv,
         leader_da: DiskAddress,
-        mut leader: LeaderPage,
+        leader: LeaderPage,
         bytes: &[u8],
     ) -> Result<(), FsError> {
         let pages = bytes.len().div_ceil(PAGE_BYTES).max(1) as u16;
-        let mut prev_da = leader_da;
-        let mut last_da = leader_da;
-        // The predecessor's label and data are tracked in memory, so fixing
-        // its next link is one label rewrite (one revolution) with no extra
-        // read pass.
-        let mut prev_label = Label {
-            fid: fv.serial.words(),
-            version: fv.version,
-            page_number: 0,
-            length: PAGE_BYTES as u16,
-            next: DiskAddress::NIL,
-            prev: DiskAddress::NIL,
-        };
-        let mut prev_data = leader.encode();
+        let mut run = pool::run_vec();
+        run.push(RunPage::rewrite(
+            PageName::new(fv, 0, leader_da),
+            page_label(fv, 0, PAGE_BYTES as u16),
+            leader.encode(),
+        ));
+        run.extend((1..=pages).map(|n| new_page(fv, n, bytes)));
         // Placement: open the whole chain in one consecutive free run when
         // the map offers one near the leader.
-        let first_near = self
-            .placement_run(DiskAddress(leader_da.0.wrapping_add(1)), pages as u32)
-            .unwrap_or(DiskAddress(leader_da.0.wrapping_add(1)));
-        for n in 1..=pages {
-            let start = (n as usize - 1) * PAGE_BYTES;
-            let chunk = &bytes[start.min(bytes.len())..bytes.len().min(start + PAGE_BYTES)];
-            let mut data = [0u16; DATA_WORDS];
-            pack_bytes(chunk, &mut data);
-            let label = Label {
-                fid: fv.serial.words(),
-                version: fv.version,
-                page_number: n,
-                length: chunk.len() as u16,
-                next: DiskAddress::NIL,
-                prev: prev_da,
-            };
-            let near = if n == 1 {
-                first_near
-            } else {
-                DiskAddress(prev_da.0.wrapping_add(1))
-            };
-            let da = self.allocate_page(Some(near), label, &data)?;
-            // Fix the predecessor's next link (one revolution, §3.3).
-            let prev_pn = PageName::new(fv, n - 1, prev_da);
-            prev_label.next = da;
-            page::rewrite_label(&mut self.disk, prev_pn, prev_label, &prev_data)?;
-            prev_da = da;
-            last_da = da;
-            prev_label = label;
-            prev_data = data;
-        }
-        leader.last_page = pages;
-        leader.last_da = last_da;
-        leader.maybe_consecutive = last_da.0 == leader_da.0.wrapping_add(pages);
-        self.write_page(PageName::new(fv, 0, leader_da), &leader.encode())?;
-        Ok(())
+        let near = DiskAddress(leader_da.0.wrapping_add(1));
+        let near = self.placement_run(near, pages as u32).unwrap_or(near);
+        let laid = self.allocate_run_with(Some(near), &mut run, hint_leader(leader));
+        pool::recycle_run(run);
+        laid
     }
 
     /// Reads and decodes the leader page of `file`.
@@ -726,19 +773,17 @@ impl<D: Disk> FileSystem<D> {
         self.write_leader(file, &leader)
     }
 
-    /// Deletes the entire file, freeing every page (§3.2).
+    /// Deletes the entire file, freeing every page as one run (§3.2).
     pub fn delete_file(&mut self, file: FileFullName) -> Result<(), FsError> {
         // Read the whole chain before freeing anything (labels are the
-        // source of truth): a broken link fails the delete untouched.
-        let mut pages = vec![];
-        chain::to_end(&mut self.disk, file.leader_page(), |pn, _, _| {
-            pages.push(pn);
-        })?;
-        for pn in pages {
-            self.free_page(pn)?;
-        }
-        self.cache.forget_leader(file.fv);
-        Ok(())
+        // source of truth): a broken link fails the delete untouched. Taking
+        // the leader leaves no cached copy of it behind.
+        let (label, leader) = self.take_leader(file)?;
+        let start = PageName::new(file.fv, 1, label.next);
+        let layout = chain::Layout::of_leader(&leader, start.da);
+        let mut run = pool::run_vec();
+        run.push(RunPage::free(file.leader_page()));
+        self.free_chain(run, start, layout, Some(leader.last_page))
     }
 
     /// Rewrites file contents page by page. Ordinary writes where the label
@@ -747,8 +792,10 @@ impl<D: Disk> FileSystem<D> {
     ///
     /// Full pages along a consecutive chain go to the disk in chained
     /// batches at guessed addresses (the §3.6 discipline: a wrong guess
-    /// fails its label check before anything is written); the last page,
-    /// length changes, extension and truncation take the per-page path.
+    /// fails its label check before anything is written); the last page
+    /// and length changes take the per-page path. Growth is one run of the
+    /// new pages with the old last page's relink ([`Self::allocate_run`]),
+    /// and truncation frees the old tail as one run ([`Self::free_run`]).
     ///
     /// Takes the leader (label and decoded page) the caller already holds;
     /// the leader page itself is never touched here.
@@ -775,9 +822,6 @@ impl<D: Disk> FileSystem<D> {
         // Links that depart from address-consecutive (a handful is fine —
         // the guessed batches just restart from the real link there).
         let mut jumps: u32 = 0;
-        // Placement for the extension path: chosen once, when the first new
-        // page is allocated, sized to everything still to be laid down.
-        let mut extended = false;
 
         // Batched fast path. A zero serial low word would wildcard the
         // label check and let a wrong guess through, so such files (and
@@ -872,98 +916,133 @@ impl<D: Disk> FileSystem<D> {
         }
 
         while n <= new_pages {
-            let chunk_start = (n as usize - 1) * PAGE_BYTES;
-            let chunk =
-                &bytes[chunk_start.min(bytes.len())..bytes.len().min(chunk_start + PAGE_BYTES)];
-            let mut data = [0u16; DATA_WORDS];
-            pack_bytes(chunk, &mut data);
-            let new_len = chunk.len() as u16;
-            let is_last = n == new_pages;
-
             if da.is_nil() {
-                // Extend: allocate page n.
-                let label = Label {
-                    fid: file.fv.serial.words(),
-                    version: file.fv.version,
-                    page_number: n,
-                    length: new_len,
-                    next: DiskAddress::NIL,
-                    prev: prev_da,
-                };
-                let near = if extended {
-                    DiskAddress(prev_da.0.wrapping_add(1))
-                } else {
-                    extended = true;
-                    let remaining = (new_pages - n + 1) as u32;
-                    self.placement_run(DiskAddress(prev_da.0.wrapping_add(1)), remaining)
-                        .unwrap_or(DiskAddress(prev_da.0.wrapping_add(1)))
-                };
-                let new_da = self.allocate_page(Some(near), label, &data)?;
-                if n > 1 && new_da.0 != prev_da.0.wrapping_add(1) {
-                    jumps += 1;
-                }
-                // Fix the previous page's next link (a length change in the
-                // §3.3 sense: one revolution). The predecessor's contents
-                // are still in memory from the previous iteration.
+                // Extend: pages n.. as one run with the predecessor's relink
+                // (a length change in the §3.3 sense). The predecessor's
+                // contents are still in memory from the previous iteration.
                 let prev_pn = PageName::new(file.fv, n - 1, prev_da);
-                let (mut prev_label, prev_data) = match prev_state.take() {
+                let (prev_label, prev_data) = match prev_state.take() {
                     Some(state) => state,
                     None => self.read_page(prev_pn)?,
                 };
-                prev_label.next = new_da;
-                page::rewrite_label(&mut self.disk, prev_pn, prev_label, &prev_data)?;
-                prev_da = new_da;
-                da = DiskAddress::NIL;
-                prev_state = Some((label, data));
+                let mut run = pool::run_vec();
+                run.push(RunPage::rewrite(prev_pn, prev_label, prev_data));
+                run.extend((n..=new_pages).map(|k| new_page(file.fv, k, bytes)));
+                let near = DiskAddress(prev_da.0.wrapping_add(1));
+                let near = self
+                    .placement_run(near, (new_pages - n + 1) as u32)
+                    .unwrap_or(near);
+                let laid = self.allocate_run(Some(near), &mut run);
+                for w in run.windows(2).filter(|w| w[1].label.page_number > 1) {
+                    jumps += u32::from(w[1].da.0 != w[0].da.0.wrapping_add(1));
+                }
+                prev_da = run[run.len() - 1].da;
+                pool::recycle_run(run);
+                laid?;
+                break;
+            }
+            let (new_len, data) = page_image(bytes, n);
+            let is_last = n == new_pages;
+            let pn = PageName::new(file.fv, n, da);
+            // Write the data in a single pass; the label check's wildcards
+            // capture the current label, telling us the old length and the
+            // next link without a separate read. This is what lets a
+            // same-size rewrite (e.g. a world swap, §4.1) stream at full
+            // disk speed.
+            let current = self.write_page(pn, &data)?;
+            let next_after = current.next;
+            if !is_last && !next_after.is_nil() && next_after.0 != da.0.wrapping_add(1) {
+                jumps += 1;
+            }
+            let mut final_label = current;
+            final_label.length = new_len;
+            if is_last {
+                final_label.next = DiskAddress::NIL;
+            }
+            // Length or links change: the §3.3 label rewrite, one
+            // revolution — or, when the file grows past its old last page,
+            // part of the relink that extends the chain.
+            let grows_past = !is_last && next_after.is_nil();
+            if final_label != current && !grows_past {
+                page::rewrite_label(&mut self.disk, pn, final_label, &data)?;
+            }
+            prev_da = da;
+            da = if is_last {
+                DiskAddress::NIL
             } else {
-                let pn = PageName::new(file.fv, n, da);
-                // Write the data in a single pass; the label check's
-                // wildcards capture the current label, telling us the old
-                // length and the next link without a separate read. This
-                // is what lets a same-size rewrite (e.g. a world swap,
-                // §4.1) stream at full disk speed.
-                let current = self.write_page(pn, &data)?;
-                let next_after = current.next;
-                if !is_last && !next_after.is_nil() && next_after.0 != da.0.wrapping_add(1) {
-                    jumps += 1;
-                }
-                let mut final_label = current;
-                if current.length != new_len || (is_last && !current.next.is_nil()) {
-                    // Length or links change: the §3.3 label rewrite, one
-                    // revolution.
-                    final_label.length = new_len;
-                    if is_last {
-                        final_label.next = DiskAddress::NIL;
-                    }
-                    page::rewrite_label(&mut self.disk, pn, final_label, &data)?;
-                }
-                prev_da = da;
-                da = if is_last {
-                    DiskAddress::NIL
-                } else {
-                    next_after
-                };
-                prev_state = Some((final_label, data));
-                // Truncate: free any remaining old pages.
-                if is_last && !next_after.is_nil() {
-                    self.free_chain(file.fv, n + 1, next_after)?;
-                }
+                next_after
+            };
+            prev_state = Some((final_label, data));
+            // Truncate: free any remaining old pages.
+            if is_last && !next_after.is_nil() {
+                let layout = chain::Layout::of_leader(leader, leader_label.next);
+                let tail = PageName::new(file.fv, n + 1, next_after);
+                self.free_chain(pool::run_vec(), tail, layout, Some(leader.last_page))?;
             }
             n += 1;
         }
         Ok((jumps <= 1 + new_pages as u32 / 16, prev_da))
     }
 
-    /// Frees the chain of pages starting at `(fv, first_page)` @ `da`.
-    fn free_chain(&mut self, fv: Fv, first_page: u16, da: DiskAddress) -> Result<(), FsError> {
-        let start = PageName::new(fv, first_page, da);
-        chain::follow(&mut self.disk, start, |disk, pn| {
-            let old = page::free_page(disk, pn)?;
-            self.desc.bitmap.set_free(pn.da);
-            self.stats.pages_freed += 1;
-            Ok(ControlFlow::<Infallible, _>::Continue(old))
-        })
-        .map(drop)
+    /// Reads the chain from `start` to its end with
+    /// [`chain::read_guessed`], then frees it together with the pages
+    /// already in `run` as one run. A nil `start` reads nothing.
+    fn free_chain(
+        &mut self,
+        mut run: Vec<RunPage>,
+        start: PageName,
+        layout: chain::Layout,
+        last: Option<u16>,
+    ) -> Result<(), FsError> {
+        let read = match start.da.is_nil() {
+            true => Ok(()),
+            false => chain::read_guessed(&mut self.disk, start, layout, last, |pn, _, _| {
+                run.push(RunPage::free(pn));
+                Ok(())
+            }),
+        };
+        let freed = read.and_then(|()| self.free_run(&run));
+        pool::recycle_run(run);
+        freed
+    }
+}
+
+/// A page's label with nil links (a run links its pages).
+fn page_label(fv: Fv, page: u16, length: u16) -> Label {
+    Label {
+        fid: fv.serial.words(),
+        version: fv.version,
+        page_number: page,
+        length,
+        next: DiskAddress::NIL,
+        prev: DiskAddress::NIL,
+    }
+}
+
+/// Page `n`'s share of `bytes` (pages from 1): its length and its data.
+fn page_image(bytes: &[u8], n: u16) -> (u16, [u16; DATA_WORDS]) {
+    let start = (n as usize - 1) * PAGE_BYTES;
+    let chunk = &bytes[start.min(bytes.len())..bytes.len().min(start + PAGE_BYTES)];
+    let mut data = [0u16; DATA_WORDS];
+    pack_bytes(chunk, &mut data);
+    (chunk.len() as u16, data)
+}
+
+/// Page `n` of a file holding `bytes`, as a new page of a run.
+fn new_page(fv: Fv, n: u16, bytes: &[u8]) -> RunPage {
+    let (length, data) = page_image(bytes, n);
+    RunPage::alloc(page_label(fv, n, length), data)
+}
+
+/// Records a fresh chain's last-page hints in its leader's data — the
+/// run's first page — once every page has a home.
+fn hint_leader(mut leader: LeaderPage) -> impl FnOnce(&mut [RunPage]) {
+    move |run| {
+        let (first, last) = (run[0].da, run[run.len() - 1].da);
+        leader.last_page = run.len() as u16 - 1;
+        leader.last_da = last;
+        leader.maybe_consecutive = last.0 == first.0.wrapping_add(leader.last_page);
+        run[0].data = leader.encode();
     }
 }
 

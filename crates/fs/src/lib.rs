@@ -13,7 +13,9 @@
 //! well as the large ones", §1):
 //!
 //! * pages — [`FileSystem::allocate_page`], [`FileSystem::free_page`],
-//!   [`FileSystem::read_page`], [`FileSystem::write_page`];
+//!   [`FileSystem::read_page`], [`FileSystem::write_page`], and runs of
+//!   pages allocated or freed in two chained passes
+//!   ([`FileSystem::allocate_run`], [`FileSystem::free_run`]);
 //! * files — create/extend/truncate/delete, leader pages with recoverable
 //!   leader names ([`leader::LeaderPage`]);
 //! * directories — ordinary files holding (string, full name) pairs,

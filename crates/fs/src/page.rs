@@ -5,6 +5,12 @@
 //! check pattern from the absolutes, and issues a sector operation whose
 //! label check guarantees the hint actually leads to the named page.
 //!
+//! Allocation, free and label rewrites go in *runs* ([`RunPage`]): a check
+//! pass over every sector of the run, then, only if every check passed, a
+//! write pass. A run of many pages is one chained batch per pass (§4's
+//! "chain commands fast enough to transfer consecutive sectors"); a run of
+//! one page is the two single commands of §3.3.
+//!
 //! One hardware subtlety is handled in software: a memory word of 0 is a
 //! *wildcard* in a check action, so absolute fields that happen to encode as
 //! 0 (a page number of 0, a serial low word of 0) are not checked by the
@@ -237,7 +243,8 @@ pub fn read_raw_batch<D: Disk>(disk: &mut D, das: &[DiskAddress]) -> Vec<PageRes
 /// failure is authoritative; later entries are pure guesses.
 ///
 /// Returns one result per page, in page order, each carrying the verified
-/// label and data.
+/// label and data, in a pooled vector — recycle it with
+/// [`crate::pool::recycle_reads`].
 pub fn read_pages_guessed<D: Disk>(
     disk: &mut D,
     start: PageName,
@@ -246,12 +253,14 @@ pub fn read_pages_guessed<D: Disk>(
     let mut batch = pool::batch_vec();
     batch.extend(guessed_reads(disk.pack_number()?, start, count));
     let mut results = batch_with_retry(disk, &mut batch);
-    let out = results
-        .drain(..)
-        .zip(batch.drain(..))
-        .zip(0..)
-        .map(|((res, req), j)| read_result(start.guess(j), res, &req))
-        .collect();
+    let mut out = crate::pool::reads_vec();
+    out.extend(
+        results
+            .drain(..)
+            .zip(&batch)
+            .zip(0..)
+            .map(|((res, req), j)| read_result(start.guess(j), res, req)),
+    );
     pool::recycle_results(results);
     pool::recycle_batch(batch);
     Ok(out)
@@ -530,31 +539,204 @@ fn drain_writes_zero_copy<D: Disk>(
     Ok(())
 }
 
-/// Allocates the free sector `da` as the page with `label`, writing `data`.
+/// What the check pass of a run must find in a sector's label (§3.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Was {
+    /// A free sector: the page is being allocated.
+    Free,
+    /// The page with this absolute name: it is being freed or rewritten.
+    Page(Fv, u16),
+}
+
+/// One sector of a run of label rewrites: where it is, what its check pass
+/// must find there, and the label and data its write pass lays down.
+#[derive(Debug, Clone, Copy)]
+pub struct RunPage {
+    /// The sector (nil until the allocator places a new page).
+    pub(crate) da: DiskAddress,
+    /// What the check pass must find.
+    pub(crate) was: Was,
+    /// The label the write pass writes.
+    pub(crate) label: Label,
+    /// The data the write pass writes.
+    pub(crate) data: [u16; DATA_WORDS],
+}
+
+impl RunPage {
+    /// A new page with `label` and `data`, for the allocator to place.
+    pub fn alloc(label: Label, data: [u16; DATA_WORDS]) -> RunPage {
+        RunPage {
+            da: DiskAddress::NIL,
+            was: Was::Free,
+            label,
+            data,
+        }
+    }
+
+    /// The page `pn`, to be rewritten with `label` and `data`: a length
+    /// change or a relink.
+    pub fn rewrite(pn: PageName, label: Label, data: [u16; DATA_WORDS]) -> RunPage {
+        RunPage {
+            da: pn.da,
+            was: Was::Page(pn.fv, pn.page),
+            label,
+            data,
+        }
+    }
+
+    /// Where the page is: for a new page, where the allocator placed it.
+    pub fn da(&self) -> DiskAddress {
+        self.da
+    }
+
+    /// The page `pn`, to be freed: ones into label and value "to ensure
+    /// that any attempt to treat the page as part of a file will fail with a
+    /// label check error" (§3.3).
+    pub fn free(pn: PageName) -> RunPage {
+        RunPage::rewrite(pn, Label::FREE, [u16::MAX; DATA_WORDS])
+    }
+
+    /// This page's buffer for one pass of its run: the check pattern for
+    /// [`SectorOp::CHECK_LABEL`], else the new label and data.
+    fn buf(&self, pack: u16, op: SectorOp) -> SectorBuf {
+        let mut buf = match (op == SectorOp::CHECK_LABEL, self.was) {
+            (true, Was::Free) => SectorBuf::with_label(Label::FREE),
+            (true, Was::Page(fv, page)) => SectorBuf::with_label(fv.check_label(page)),
+            (false, _) => {
+                let mut buf = SectorBuf::with_label(self.label);
+                buf.data = self.data;
+                buf
+            }
+        };
+        buf.header = [pack, self.da.0];
+        buf
+    }
+
+    /// The label a passed check captured in `buf`, software-verified
+    /// against the page's absolutes.
+    fn checked(&self, buf: &SectorBuf) -> Result<Label, FsError> {
+        let got = buf.decoded_label();
+        if let Was::Page(fv, page) = self.was {
+            verify_absolutes(self.da, fv, page, &got)?;
+        }
+        Ok(got)
+    }
+}
+
+/// The check pass of a one-page run: §3.3's single check command.
+fn check_page<D: Disk>(disk: &mut D, p: &RunPage) -> Result<Label, FsError> {
+    let mut buf = p.buf(disk.pack_number()?, SectorOp::CHECK_LABEL);
+    retry_op(disk, p.da, SectorOp::CHECK_LABEL, &mut buf)?;
+    p.checked(&buf)
+}
+
+/// The write pass of a one-page run: §3.3's single label write.
+fn write_label<D: Disk>(disk: &mut D, p: &RunPage) -> Result<(), FsError> {
+    let mut buf = p.buf(disk.pack_number()?, SectorOp::WRITE_LABEL);
+    retry_op(disk, p.da, SectorOp::WRITE_LABEL, &mut buf)?;
+    Ok(())
+}
+
+/// Builds one pass of a multi-page run in `batch` and issues it as one
+/// chained batch under bounded retry.
+fn run_pass<D: Disk>(
+    disk: &mut D,
+    run: &[RunPage],
+    op: SectorOp,
+    batch: &mut Vec<BatchRequest>,
+) -> Result<Vec<Result<(), DiskError>>, FsError> {
+    let pack = disk.pack_number()?;
+    batch.extend(
+        run.iter()
+            .map(|p| BatchRequest::new(p.da, op, p.buf(pack, op))),
+    );
+    Ok(batch_with_retry(disk, batch))
+}
+
+/// The check pass of a run: checks every sector's label — free for an
+/// allocation, the page's absolutes for a free or a rewrite — and writes
+/// nothing. A run of many pages is one chained batch, which the drive
+/// services in rotational order; a run of one page is one command.
 ///
-/// Two passes, as §3.3 prescribes: first the label is checked to be free,
-/// then the proper label (and the first data) is written — costing one
-/// disk revolution. Fails with a check error if the sector is not actually
-/// free (a stale allocation map); the allocator then retries elsewhere.
+/// Returns each page's captured label or check error, in run order, in a
+/// pooled vector — recycle it with [`crate::pool::recycle_labels`].
+pub(crate) fn check_run<D: Disk>(
+    disk: &mut D,
+    run: &[RunPage],
+) -> Result<Vec<Result<Label, FsError>>, FsError> {
+    let mut out = crate::pool::labels_vec();
+    if let [one] = run {
+        out.push(check_page(disk, one));
+        return Ok(out);
+    }
+    let mut batch = pool::batch_vec();
+    let mut results = run_pass(disk, run, SectorOp::CHECK_LABEL, &mut batch)?;
+    out.extend(
+        results
+            .drain(..)
+            .zip(&batch)
+            .zip(run)
+            .map(|((res, req), p)| {
+                res.map_err(FsError::from)
+                    .and_then(|()| p.checked(&req.buf))
+            }),
+    );
+    pool::recycle_results(results);
+    pool::recycle_batch(batch);
+    Ok(out)
+}
+
+/// The write pass of a run: writes every page's label and data, in one
+/// chained batch for many pages, which the drive services in rotational
+/// order. Call it only once [`check_run`] passed on every page. A failed
+/// sector does not stop the others (the drive reschedules the rest of the
+/// chain); the first failure in run order is returned.
+pub(crate) fn write_run<D: Disk>(disk: &mut D, run: &[RunPage]) -> Result<(), FsError> {
+    match run {
+        [] => return Ok(()),
+        [one] => return write_label(disk, one),
+        _ => {}
+    }
+    let mut batch = pool::batch_vec();
+    let results = run_pass(disk, run, SectorOp::WRITE_LABEL, &mut batch)?;
+    let failed = results.iter().find_map(|r| r.err());
+    pool::recycle_results(results);
+    pool::recycle_batch(batch);
+    failed.map_or(Ok(()), |e| Err(e.into()))
+}
+
+/// Both passes of a run, as §3.3 prescribes per page: the check pass, then
+/// — only if every check passed — the write pass. Fails with the first
+/// check error in run order, having written nothing.
+pub(crate) fn rewrite_run<D: Disk>(disk: &mut D, run: &[RunPage]) -> Result<(), FsError> {
+    let checked = check_run(disk, run)?;
+    let failed = checked.iter().find_map(|r| r.clone().err());
+    crate::pool::recycle_labels(checked);
+    failed.map_or_else(|| write_run(disk, run), Err)
+}
+
+/// Allocates the free sector `da` as the page with `label`, writing `data`:
+/// a one-page run. The label is checked to be free, then the proper label
+/// (and the first data) is written — costing one disk revolution. Fails
+/// with a check error if the sector is not actually free (a stale
+/// allocation map); the allocator then retries elsewhere.
 pub fn allocate_at<D: Disk>(
     disk: &mut D,
     da: DiskAddress,
     label: Label,
     data: &[u16; DATA_WORDS],
 ) -> Result<(), FsError> {
-    let mut buf = SectorBuf::with_label(Label::FREE);
-    buf.header = [disk.pack_number()?, da.0];
-    retry_op(disk, da, SectorOp::CHECK_LABEL, &mut buf)?;
-    let mut buf = SectorBuf::with_label(label);
-    buf.header = [disk.pack_number()?, da.0];
-    buf.data = *data;
-    retry_op(disk, da, SectorOp::WRITE_LABEL, &mut buf)?;
-    Ok(())
+    let page = RunPage {
+        da,
+        ..RunPage::alloc(label, *data)
+    };
+    check_page(disk, &page)?;
+    write_label(disk, &page)
 }
 
 /// Rewrites the label (and data) of the existing page `pn` — the length
 /// change of §3.3: "the label of the last page is read and checked. Then it
-/// is rewritten, possibly with new values of L and NL."
+/// is rewritten, possibly with new values of L and NL." A one-page run.
 ///
 /// Returns the old label. Costs one disk revolution (check pass + write
 /// pass on the same sector).
@@ -564,20 +746,14 @@ pub fn rewrite_label<D: Disk>(
     new_label: Label,
     data: &[u16; DATA_WORDS],
 ) -> Result<Label, FsError> {
-    let mut buf = checked_buf(disk, pn)?;
-    retry_op(disk, pn.da, SectorOp::CHECK_LABEL, &mut buf)?;
-    let old = buf.decoded_label();
-    verify_absolutes(pn.da, pn.fv, pn.page, &old)?;
-    let mut buf = SectorBuf::with_label(new_label);
-    buf.header = [disk.pack_number()?, pn.da.0];
-    buf.data = *data;
-    retry_op(disk, pn.da, SectorOp::WRITE_LABEL, &mut buf)?;
+    let page = RunPage::rewrite(pn, new_label, *data);
+    let old = check_page(disk, &page)?;
+    write_label(disk, &page)?;
     Ok(old)
 }
 
 /// Frees the page named `pn`: checks its label, then writes ones into label
-/// and value "to ensure that any attempt to treat the page as part of a
-/// file will fail with a label check error" (§3.3).
+/// and value (see [`RunPage::free`]).
 ///
 /// Returns the old label (whose links the caller may need). Costs one disk
 /// revolution.

@@ -7,6 +7,9 @@
 //! those two vectors used to be the last per-call heap traffic on the write
 //! path. They now come from small thread-local [`FreeList`]s, the mechanism
 //! of [`alto_disk::pool`], so a warm rewrite touches the heap zero times.
+//! The runs of label rewrites that allocate, free and relink pages
+//! ([`crate::page::RunPage`]) and the batches of a guessed chain read
+//! ([`crate::chain::read_guessed`]) are staged the same way.
 //!
 //! This is a host-side optimization only: it never touches the simulated
 //! clock or the §3.3 semantics, and recycled vectors are always cleared
@@ -16,6 +19,7 @@ use alto_disk::pool::FreeList;
 use alto_disk::{Label, DATA_WORDS};
 
 use crate::errors::FsError;
+use crate::page::{PageResult, RunPage};
 
 /// How many vectors each free list retains per thread. `write_file` holds
 /// one chunk vector and one result vector at a time; a little headroom
@@ -26,6 +30,8 @@ const PER_LIST: usize = 4;
 thread_local! {
     static CHUNKS: FreeList<[u16; DATA_WORDS]> = const { FreeList::new(PER_LIST) };
     static LABELS: FreeList<Result<Label, FsError>> = const { FreeList::new(PER_LIST) };
+    static RUNS: FreeList<RunPage> = const { FreeList::new(PER_LIST) };
+    static READS: FreeList<PageResult> = const { FreeList::new(PER_LIST) };
 }
 
 /// An empty page-image vector, recycled when possible.
@@ -46,6 +52,26 @@ pub fn labels_vec() -> Vec<Result<Label, FsError>> {
 /// Returns a guessed-write result vector to the free list.
 pub fn recycle_labels(v: Vec<Result<Label, FsError>>) {
     LABELS.with(|l| l.recycle(v));
+}
+
+/// An empty run of label rewrites, recycled when possible.
+pub fn run_vec() -> Vec<RunPage> {
+    RUNS.with(FreeList::take)
+}
+
+/// Returns a run vector to the free list.
+pub fn recycle_run(v: Vec<RunPage>) {
+    RUNS.with(|l| l.recycle(v));
+}
+
+/// An empty guessed-read result vector, recycled when possible.
+pub fn reads_vec() -> Vec<PageResult> {
+    READS.with(FreeList::take)
+}
+
+/// Returns a guessed-read result vector to the free list.
+pub fn recycle_reads(v: Vec<PageResult>) {
+    READS.with(|l| l.recycle(v));
 }
 
 #[cfg(test)]

@@ -29,12 +29,15 @@
 //! *own* drain — the drain bumps the epoch once for the whole batch and
 //! must not poison the stream's own readahead — while foreign writes still
 //! invalidate. Label-changing pages (length growth, extension) never park:
-//! a label rewrite is a check pass plus a write pass on one sector and
-//! cannot chain.
+//! a label rewrite is a check pass plus a write pass and cannot ride in a
+//! drain's batch of data writes. Extension rewrites the current page and
+//! allocates the next in one run: one chained check pass over both
+//! sectors, then one chained write pass.
 
 use alto_disk::{Disk, DiskAddress, Label, UnparkOutcome, DATA_WORDS};
 use alto_fs::file::PAGE_BYTES;
 use alto_fs::names::FileFullName;
+use alto_fs::page::RunPage;
 use alto_fs::{chain, FileSystem, FsError, PageMap, PageName};
 
 use crate::errors::StreamError;
@@ -145,7 +148,7 @@ impl<D: Disk> DiskByteStream<D> {
             write_behind_enabled: true,
             drain_scratch: crate::pool::parked_vec(),
             write_results: crate::pool::labels_vec(),
-            read_results: crate::pool::reads_vec(),
+            read_results: alto_fs::pool::reads_vec(),
             _disk: std::marker::PhantomData,
         };
         stream.land(pn, label, buffer)?;
@@ -545,9 +548,13 @@ impl<D: Disk> DiskByteStream<D> {
         Ok(())
     }
 
-    /// Allocates a fresh page after the current (full) one.
+    /// Allocates a fresh page after the current (full) one. The current
+    /// page's next link changes with it, so its label and buffered data
+    /// are rewritten in the same run: one check pass over both sectors,
+    /// then the new page's write and, once it landed, the relink (§3.3).
     fn extend(&mut self, fs: &mut FileSystem<D>) -> Result<(), StreamError> {
         debug_assert_eq!(self.label.length as usize, PAGE_BYTES);
+        let pn = PageName::new(self.file.fv, self.page, self.da);
         let new_label = Label {
             fid: self.file.fv.serial.words(),
             version: self.file.fv.version,
@@ -556,17 +563,13 @@ impl<D: Disk> DiskByteStream<D> {
             next: DiskAddress::NIL,
             prev: self.da,
         };
-        let new_da = fs.allocate_page(
-            Some(DiskAddress(self.da.0.wrapping_add(1))),
-            new_label,
-            &[0; DATA_WORDS],
-        )?;
-        // The current page's next link changes: rewrite its label along
-        // with the buffered data (one revolution, §3.3).
-        self.label.next = new_da;
+        let mut run = [
+            RunPage::rewrite(pn, self.label, self.buffer),
+            RunPage::alloc(new_label, [0; DATA_WORDS]),
+        ];
+        fs.allocate_run(Some(DiskAddress(self.da.0.wrapping_add(1))), &mut run)?;
+        let new_da = run[1].da();
         self.map.learn(self.page + 1, new_da);
-        let pn = PageName::new(self.file.fv, self.page, self.da);
-        alto_fs::page::rewrite_label(fs.disk_mut(), pn, self.label, &self.buffer)?;
         self.dirty = false;
         self.label_changed = false;
         self.resized = true;
@@ -649,7 +652,7 @@ impl<D: Disk> Drop for DiskByteStream<D> {
         crate::pool::recycle_parked(std::mem::take(&mut self.write_behind));
         crate::pool::recycle_parked(std::mem::take(&mut self.drain_scratch));
         crate::pool::recycle_labels(std::mem::take(&mut self.write_results));
-        crate::pool::recycle_reads(std::mem::take(&mut self.read_results));
+        alto_fs::pool::recycle_reads(std::mem::take(&mut self.read_results));
     }
 }
 

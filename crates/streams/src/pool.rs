@@ -8,7 +8,8 @@
 //! source in the streaming wall-clock workloads. The vectors now come from
 //! small thread-local free lists, taken at `open` and recycled when the
 //! stream is dropped, so a steady open/transfer/close cycle touches the
-//! heap zero times.
+//! heap zero times. The page-result vector comes from the file system's
+//! list ([`alto_fs::pool::reads_vec`]), which its guessed chain reads share.
 //!
 //! Like the disk pools ([`alto_disk::pool`], whose [`FreeList`] these
 //! lists are), this is a host-side optimization only: it never touches the
@@ -17,7 +18,6 @@
 
 use alto_disk::pool::FreeList;
 use alto_disk::{DiskAddress, Label, DATA_WORDS};
-use alto_fs::page::PageResult;
 use alto_fs::{FsError, PageName};
 
 /// A prefetched page parked in the readahead buffer.
@@ -36,7 +36,6 @@ thread_local! {
     static READAHEAD: FreeList<ReadaheadPage> = const { FreeList::new(PER_LIST) };
     static PARKED: FreeList<ParkedPage> = const { FreeList::new(PER_LIST) };
     static LABELS: FreeList<Result<Label, FsError>> = const { FreeList::new(PER_LIST) };
-    static READS: FreeList<PageResult> = const { FreeList::new(PER_LIST) };
 }
 
 /// An empty readahead buffer, recycled when possible.
@@ -67,16 +66,6 @@ pub fn labels_vec() -> Vec<Result<Label, FsError>> {
 /// Returns a write-result vector to the free list.
 pub fn recycle_labels(v: Vec<Result<Label, FsError>>) {
     LABELS.with(|l| l.recycle(v));
-}
-
-/// An empty page-result vector, recycled when possible.
-pub fn reads_vec() -> Vec<PageResult> {
-    READS.with(FreeList::take)
-}
-
-/// Returns a page-result vector to the free list.
-pub fn recycle_reads(v: Vec<PageResult>) {
-    READS.with(|l| l.recycle(v));
 }
 
 #[cfg(test)]

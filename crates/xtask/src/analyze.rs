@@ -190,13 +190,17 @@ fn raw_disk_op_transitive(files: &[SourceFile], graph: &CallGraph, out: &mut Vec
 }
 
 /// Error sources whose `Result` carries a `DiskError` or a net send status.
-const ERROR_SOURCES: [&str; 12] = [
+const ERROR_SOURCES: [&str; 16] = [
     ".send(",
     ".do_op(",
     ".do_batch(",
     "read_page(",
     "write_page(",
     "free_page(",
+    "allocate_run(",
+    "free_run(",
+    "check_run(",
+    "write_run(",
     "delete_file(",
     "write_file(",
     "retry_op(",

@@ -67,9 +67,9 @@ fn absolute_digests_hold_with_and_without_audit() {
     assert_eq!(
         server_round(120, 2),
         RunDigest {
-            trace: 249_131_935_492_017_097,
+            trace: 10_134_795_831_345_890_313,
             data: 3_648_097_143_548_785_406,
-            sim_ns: 32_656_389_517,
+            sim_ns: 15_416_396_413,
         }
     );
 }
@@ -85,9 +85,9 @@ fn fs_walks_digest_holds_with_and_without_audit() {
     assert_eq!(
         r.first,
         RunDigest {
-            trace: 12_823_715_373_884_367_140,
+            trace: 5_156_098_282_757_424_621,
             data: 17_101_054_087_947_489_125,
-            sim_ns: 75_036_659_163,
+            sim_ns: 37_316_662_935,
         }
     );
 }

@@ -233,7 +233,7 @@ fn campaign_workload(
     let mut rng = SplitMix64::new(4242);
     let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     let names: Vec<String> = (0..5).map(|i| format!("c-{i}.dat")).collect();
-    for _ in 0..80 {
+    for _ in 0..400 {
         let name = &names[rng.next_below(5) as usize];
         match rng.next_below(4) {
             0 | 1 => {
