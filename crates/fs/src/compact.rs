@@ -6,12 +6,20 @@
 //! speed with which the files can be read sequentially by an order of
 //! magnitude over what is possible if the pages have become scattered."
 //!
-//! The compactor computes a target layout (descriptor pinned at its
-//! standard address, then every file's pages in file order), then realizes
-//! it as an in-place permutation scheduled in *waves*. A move whose
-//! destination is free is in wave 0; any other move is one wave after the
-//! move that vacates its destination, so a page's old home is overwritten
-//! only once the page is durable at its new one. A pure cycle of moves has
+//! The compactor computes a *stable* target layout and realizes it as an
+//! in-place permutation. The descriptor's leader stays pinned at its
+//! standard address and its data pages go to DA 2 onward; a boot file's
+//! page 1 stays at DA 0. A file whose other pages already sit at
+//! consecutive sectors outside that range keeps them. Every other file, in
+//! serial-number order, takes the lowest sectors of the smallest free run
+//! that holds it. If some file fits no run, every file is placed afresh,
+//! which on a pack with no bad sectors is a dense prefix in serial-number
+//! order. So a delete or a new version moves only the files it scattered.
+//!
+//! The permutation is scheduled in *waves*. A move whose destination is
+//! free is in wave 0; any other move is one wave after the move that
+//! vacates its destination, so a page's old home is overwritten only once
+//! the page is durable at its new one. A pure cycle of moves has
 //! no free destination: it is broken by first copying one of its pages to a
 //! spare sector outside the target layout, which turns the cycle into a
 //! path that ends with that page moving from the spare to its new home. No
@@ -21,16 +29,19 @@
 //! batch that writes the chunk's moves (with the labels of the *new* layout)
 //! and reads the next chunk's sources — safe because no wave's sources are
 //! written before the wave after it — so host memory holds two chunks, not
-//! the pack. Old homes and spares are freed in sweep batches; leader pages get fresh
-//! last-page hints and the `maybe_consecutive` flag in one batched read and
-//! one batched checked write; directories are rewritten with the new leader
-//! addresses; and the descriptor is rebuilt.
+//! the pack. Old homes and spares are freed in sweep batches. The leaders
+//! that moved, or whose last-page hints or `maybe_consecutive` flag are
+//! stale, get one batched checked write of the image the scan read; only a
+//! directory that names a moved leader is rewritten; and the descriptor is
+//! rebuilt. Compacting a compacted pack moves no page and writes only the
+//! descriptor.
 //!
 //! Experiment E3 measures the order-of-magnitude sequential-read speedup
 //! this buys.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::Range;
 
 use alto_disk::{pool, BatchRequest, Disk, DiskAddress, Label, SectorBuf, SectorOp, DATA_WORDS};
 use alto_sim::SimTime;
@@ -123,6 +134,13 @@ impl Compactor {
     /// Compacts the file system in place so every file's pages are
     /// consecutive. Runs a (plain) scavenge first so the page table is
     /// trustworthy, and leaves a fully consistent, freshly scavenged disk.
+    ///
+    /// The target layout is stable: a file whose pages already sit at
+    /// consecutive sectors keeps them, the descriptor's data pages go to
+    /// DA 2 onward, and every other file goes to the smallest free run that
+    /// holds it. Only the leaders whose hints change are written, and only
+    /// the directories that name a moved leader are rewritten, so compacting
+    /// a compacted pack moves and writes nothing but the descriptor.
     pub fn run<D: Disk>(fs: &mut FileSystem<D>) -> Result<CompactReport, FsError> {
         // A scavenge gives us repaired chains and a correct bitmap.
         Scavenger::run(fs)?;
@@ -130,11 +148,15 @@ impl Compactor {
         let mut report = CompactReport::default();
 
         // Walk every file (via the root-reachable table the scavenger left:
-        // the labels themselves) and record current page positions.
+        // the labels themselves) and record current page positions, and
+        // keep every leader's image: `images[image_of[da]]` is the data the
+        // scan read at a leader's home `da`.
         let geometry = fs.disk().geometry()?;
         let sectors = geometry.sector_count() as usize;
         let mut files: BTreeMap<Fv, ScannedPages> = BTreeMap::new();
         let mut bad: Vec<DiskAddress> = Vec::new();
+        let mut images = crate::pool::chunks_vec();
+        let mut image_of = vec![NONE; sectors];
         // The scan is the scavenger's sweep shape: chained cylinder batches,
         // one chunk per arm per batch so an array overlaps its timelines.
         let per_cylinder = (geometry.heads as usize * geometry.sectors as usize).max(1);
@@ -143,10 +165,14 @@ impl Compactor {
             let results = page::read_raw_batch(fs.disk_mut(), das);
             for (&da, res) in das.iter().zip(results) {
                 match res {
-                    Ok((label, _)) => {
+                    Ok((label, data)) => {
                         if label.is_bad() {
                             bad.push(da);
                         } else if label.is_in_use() {
+                            if label.page_number == 0 {
+                                image_of[da.0 as usize] = images.len() as u32;
+                                images.push(data);
+                            }
                             files.entry(Fv::from_label(&label)).or_default().push((
                                 label.page_number,
                                 da,
@@ -159,56 +185,38 @@ impl Compactor {
                 }
             }
         }
-        for pages in files.values_mut() {
+        for (fv, pages) in &mut files {
             pages.sort_unstable_by_key(|&(page, da, _)| (page, da));
+            // Every file leads with a leader, whose image the scan kept.
+            if pages[0].0 != 0 {
+                return Err(FsError::PageNotFound(PageName::new(*fv, 0, pages[0].1)));
+            }
         }
 
-        // Target layout: walk addresses in order, skipping bad sectors and
-        // the two pinned addresses, assigning each file's pages in file
-        // order. The descriptor leader stays pinned at DA 1; a boot file's
-        // page 1 stays pinned at DA 0.
+        // Each file's placements are one contiguous run, in file order:
+        // the descriptor first (its data pages follow its pinned leader),
+        // then everything else by serial number. A pinned page's home is
+        // fixed now; the others are planned.
         let desc_fv = descriptor::descriptor_fv();
         let boot_present = files.get(&descriptor::boot_fv()).is_some_and(|pages| {
             pages
                 .iter()
                 .any(|(p, da, _)| *p == 1 && *da == descriptor::BOOT_PAGE_DA)
         });
-
         let mut placements: Vec<Placement> = Vec::new();
-        let mut slot = DiskAddress(0);
-        let bad_set: std::collections::BTreeSet<u16> = bad.iter().map(|d| d.0).collect();
-        let next_slot = |slot: &mut DiskAddress| loop {
-            let s = *slot;
-            *slot = DiskAddress(slot.0 + 1);
-            let pinned = s == descriptor::BOOT_PAGE_DA || s == descriptor::DESCRIPTOR_LEADER_DA;
-            if !pinned && !bad_set.contains(&s.0) {
-                return s;
-            }
-        };
-
-        // Order: descriptor data pages first (so they sit right after their
-        // pinned leader), then everything else by serial number.
-        let mut ordered: Vec<(Fv, ScannedPages)> = Vec::new();
-        if let Some(desc_pages) = files.remove(&desc_fv) {
-            ordered.push((desc_fv, desc_pages));
-        }
-        for (fv, pages) in std::mem::take(&mut files) {
-            ordered.push((fv, pages));
-        }
-
-        // Each file's placements are one contiguous run, in file order.
-        let mut file_ends: Vec<usize> = Vec::with_capacity(ordered.len());
-        for (fv, pages) in &ordered {
-            for &(page, old_da, old) in pages {
-                let new_da = if *fv == desc_fv && page == 0 {
+        let mut file_ends: Vec<usize> = Vec::with_capacity(files.len());
+        let desc = files.remove(&desc_fv).map(|pages| (desc_fv, pages));
+        for (fv, pages) in desc.into_iter().chain(files) {
+            for (page, old_da, old) in pages {
+                let new_da = if fv == desc_fv && page == 0 {
                     descriptor::DESCRIPTOR_LEADER_DA
-                } else if *fv == descriptor::boot_fv() && page == 1 && boot_present {
+                } else if fv == descriptor::boot_fv() && page == 1 && boot_present {
                     descriptor::BOOT_PAGE_DA
                 } else {
-                    next_slot(&mut slot)
+                    DiskAddress::NIL
                 };
                 placements.push(Placement {
-                    fv: *fv,
+                    fv,
                     page,
                     old_da,
                     new_da,
@@ -217,14 +225,28 @@ impl Compactor {
             }
             file_ends.push(placements.len());
         }
-        report.files = ordered.len() as u32;
+        report.files = file_ends.len() as u32;
 
-        let pack_number = fs.disk().pack_number()?;
+        // Target layout: in-place files stay, the rest go by best fit; if
+        // some file fits no free run, every file is placed afresh.
+        let bad_set: BTreeSet<u16> = bad.iter().map(|d| d.0).collect();
         let usable = |da: DiskAddress| {
             !bad_set.contains(&da.0)
                 && da != descriptor::BOOT_PAGE_DA
                 && da != descriptor::DESCRIPTOR_LEADER_DA
         };
+        let free: Vec<bool> = (0..sectors)
+            .map(|s| usable(DiskAddress(s as u16)))
+            .collect();
+        let homes = plan(&placements, &file_ends, &free, true)
+            .or_else(|| plan(&placements, &file_ends, &free, false))
+            .filter(|homes| !homes.contains(&DiskAddress::NIL))
+            .ok_or(FsError::DiskFull)?;
+        for (p, new_da) in placements.iter_mut().zip(homes) {
+            p.new_da = new_da;
+        }
+
+        let pack_number = fs.disk().pack_number()?;
         let schedule = Self::schedule(fs.disk(), &placements, usable, sectors, per_cylinder)?;
         report.cycles = schedule.spares.len() as u32;
         for p in &placements {
@@ -266,47 +288,44 @@ impl Compactor {
             pool::recycle_batch(batch);
         }
 
-        // Refresh leader hints and count consecutive files: one batched
-        // read of every leader at its new home, one batched checked write.
-        let mut leaders: Vec<PageName> = Vec::with_capacity(ordered.len());
+        // Refresh leader hints and count consecutive files. A leader's
+        // image is the one the scan read; one batched checked write covers
+        // the leaders that moved or whose hints are stale.
+        let mut moved: Vec<(Fv, DiskAddress)> = Vec::new();
+        let mut dirs: Vec<FileFullName> = Vec::new();
+        let mut stale: Vec<PageName> = Vec::new();
+        let mut fresh = crate::pool::chunks_vec();
         let mut first = 0;
         for &end in &file_ends {
-            let p = &placements[first];
-            leaders.push(PageName::new(p.fv, 0, p.new_da));
-            first = end;
-        }
-        let mut images = crate::pool::chunks_vec();
-        images.resize(leaders.len(), [0; DATA_WORDS]);
-        let labels = page::read_pages_zero_copy(fs.disk_mut(), &leaders, |i, _, view| {
-            images[i] = *view.data();
-        });
-        let failed = labels.iter().find_map(|r| r.as_ref().err().cloned());
-        crate::pool::recycle_labels(labels);
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        let mut first = 0;
-        for (image, &end) in images.iter_mut().zip(&file_ends) {
             let file = &placements[first..end];
-            let leader_new = file[0].new_da;
-            let last = &file[file.len() - 1];
+            first = end;
+            let (head, last) = (&file[0], &file[file.len() - 1]);
+            if head.fv.serial.is_directory() {
+                dirs.push(FileFullName::new(head.fv, head.new_da));
+            }
             let consecutive = file
                 .iter()
-                .all(|p| p.new_da.0 == leader_new.0.wrapping_add(p.page));
+                .all(|p| p.new_da.0 == head.new_da.0.wrapping_add(p.page));
             if consecutive {
                 report.consecutive_files += 1;
             }
-            let mut leader = LeaderPage::decode(image);
-            leader.last_page = last.page;
-            leader.last_da = last.new_da;
-            leader.maybe_consecutive = consecutive;
-            *image = leader.encode();
-            first = end;
+            let mut leader = LeaderPage::decode(&images[image_of[head.old_da.0 as usize] as usize]);
+            let hints = (last.page, last.new_da, consecutive);
+            let was = (leader.last_page, leader.last_da, leader.maybe_consecutive);
+            if head.old_da != head.new_da {
+                moved.push((head.fv, head.new_da));
+            } else if was == hints {
+                continue;
+            }
+            (leader.last_page, leader.last_da, leader.maybe_consecutive) = hints;
+            stale.push(PageName::new(head.fv, 0, head.new_da));
+            fresh.push(leader.encode());
         }
-        let labels = page::write_pages(fs.disk_mut(), leaders.iter().copied(), &images)?;
+        crate::pool::recycle_chunks(images);
+        let labels = page::write_pages(fs.disk_mut(), stale.iter().copied(), &fresh)?;
         let failed = labels.iter().find_map(|r| r.as_ref().err().cloned());
         crate::pool::recycle_labels(labels);
-        crate::pool::recycle_chunks(images);
+        crate::pool::recycle_chunks(fresh);
         if let Some(e) = failed {
             return Err(e);
         }
@@ -325,39 +344,36 @@ impl Compactor {
                 desc.bitmap.set_busy(*da);
             }
         }
-        // Every file's new leader address, by file.
-        let mut leader_of: Vec<(Fv, DiskAddress)> =
-            leaders.iter().map(|pn| (pn.fv, pn.da)).collect();
-        leader_of.sort_unstable_by_key(|&(fv, _)| fv);
-        let new_leader = |fv: Fv| {
-            leader_of
+        // The leaders that moved, by file.
+        moved.sort_unstable_by_key(|&(fv, _)| fv);
+        let moved_to = |fv: Fv| {
+            moved
                 .binary_search_by_key(&fv, |&(f, _)| f)
                 .ok()
-                .map(|i| leader_of[i].1)
+                .map(|i| moved[i].1)
         };
         let root_fv = fs.descriptor().root_dir.fv;
-        if let Some(root_new) = new_leader(root_fv) {
+        if let Some(root_new) = moved_to(root_fv) {
             fs.descriptor_mut().root_dir = FileFullName::new(root_fv, root_new);
         }
 
-        // Rewrite directory entries with the new leader addresses.
-        let dir_list: Vec<FileFullName> = leaders
-            .iter()
-            .filter(|pn| pn.fv.serial.is_directory())
-            .map(|pn| FileFullName::new(pn.fv, pn.da))
-            .collect();
-        for dir_name in dir_list {
-            let entries = dir::list(fs, dir_name)?;
-            let fixed: Vec<dir::DirEntry> = entries
-                .into_iter()
-                .map(|mut e| {
-                    if let Some(new) = new_leader(e.file.fv) {
-                        e.file = FileFullName::new(e.file.fv, new);
-                    }
-                    e
-                })
-                .collect();
-            fs.write_file(dir_name, &dir::encode_entries(&fixed))?;
+        // Rewrite the directories that name a moved leader. With none
+        // moved, no directory needs a look.
+        if moved.is_empty() {
+            dirs.clear();
+        }
+        for dir_name in dirs {
+            let mut entries = dir::list(fs, dir_name)?;
+            let mut changed = false;
+            for e in &mut entries {
+                if let Some(new) = moved_to(e.file.fv) {
+                    e.file = FileFullName::new(e.file.fv, new);
+                    changed = true;
+                }
+            }
+            if changed {
+                fs.write_file(dir_name, &dir::encode_entries(&entries))?;
+            }
         }
 
         fs.flush_descriptor()?;
@@ -533,6 +549,110 @@ impl Compactor {
         }
         pool::recycle_batch(batch);
         Ok(())
+    }
+}
+
+/// The target layout: every placement's new home, in order.
+///
+/// `file_ends` cuts `placements` into files; a placement's `new_da` is its
+/// pinned home, or NIL. `free` marks the usable sectors. The descriptor's
+/// data pages take the lowest of them, DA 2 onward. With `keep`, a file
+/// whose other pages sit at consecutive free sectors in page order stays
+/// there. Every remaining file, in order, takes the lowest sectors of the
+/// smallest free run that holds it, ties to the lowest address. A file
+/// that no run holds fails a plan with `keep`; without it, the file takes
+/// the lowest free sectors, wherever they are.
+fn plan(
+    placements: &[Placement],
+    file_ends: &[usize],
+    free: &[bool],
+    keep: bool,
+) -> Option<Vec<DiskAddress>> {
+    let mut free = free.to_vec();
+    let mut homes: Vec<DiskAddress> = placements.iter().map(|p| p.new_da).collect();
+    let mut rest: Vec<Range<usize>> = file_ends
+        .iter()
+        .scan(0, |from, &end| Some(std::mem::replace(from, end)..end))
+        .collect();
+    if placements
+        .first()
+        .is_some_and(|p| p.fv == descriptor::descriptor_fv())
+    {
+        let desc = rest.remove(0);
+        take_from(&mut free, &mut homes[desc], 0);
+    }
+    if keep {
+        rest.retain(|span| {
+            let file = &placements[span.clone()];
+            let stays = in_place(file, &homes[span.clone()], &free);
+            if stays {
+                for (h, p) in homes[span.clone()].iter_mut().zip(file) {
+                    if h.is_nil() {
+                        *h = p.old_da;
+                        free[p.old_da.0 as usize] = false;
+                    }
+                }
+            }
+            !stays
+        });
+    }
+    for span in rest {
+        let span = &mut homes[span];
+        let need = span.iter().filter(|h| h.is_nil()).count();
+        let start = match best_fit(&free, need) {
+            Some(start) => start,
+            None if keep => return None,
+            None => 0,
+        };
+        take_from(&mut free, span, start);
+    }
+    Some(homes)
+}
+
+/// True when the pages of `file` still without a home in `span` sit at
+/// consecutive free sectors, in page order.
+fn in_place(file: &[Placement], span: &[DiskAddress], free: &[bool]) -> bool {
+    let mut olds = file
+        .iter()
+        .zip(span)
+        .filter(|(_, h)| h.is_nil())
+        .map(|(p, _)| usize::from(p.old_da.0));
+    let Some(first) = olds.next() else {
+        return false;
+    };
+    free[first]
+        && olds
+            .zip(first + 1..)
+            .all(|(da, want)| da == want && free[da])
+}
+
+/// The first sector of the smallest run of at least `need` free sectors,
+/// ties to the lowest address.
+fn best_fit(free: &[bool], need: usize) -> Option<usize> {
+    let mut best: Option<(usize, usize)> = None;
+    let mut s = 0;
+    while s < free.len() {
+        let len = free[s..].iter().take_while(|&&f| f).count();
+        if len >= need && best.is_none_or(|(shortest, _)| len < shortest) {
+            best = Some((len, s));
+        }
+        s += len + 1;
+    }
+    best.map(|(_, start)| start)
+}
+
+/// Gives each page of `span` still without a home the next free sector,
+/// from `start` on.
+fn take_from(free: &mut [bool], span: &mut [DiskAddress], start: usize) {
+    let mut s = start;
+    for h in span.iter_mut().filter(|h| h.is_nil()) {
+        while s < free.len() && !free[s] {
+            s += 1;
+        }
+        if let Some(f) = free.get_mut(s) {
+            *f = false;
+            *h = DiskAddress(s as u16);
+        }
     }
 }
 
